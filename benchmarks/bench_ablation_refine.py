@@ -8,8 +8,7 @@ inside the filter-and-refine scheme (DESIGN.md ablation #2).
 
 import pytest
 
-from repro import STPSJoinQuery
-from repro.core.sppj_f import sppj_f
+from repro import stps_join
 
 from _common import BENCH_USERS, PRESET_NAMES, dataset_for, thresholds_for
 
@@ -18,15 +17,17 @@ from _common import BENCH_USERS, PRESET_NAMES, dataset_for, thresholds_for
 @pytest.mark.parametrize("refine", ("ppj-b", "ppj-c"))
 def test_refinement_strategy(run_once, preset, refine):
     dataset = dataset_for(preset, BENCH_USERS)
-    query = STPSJoinQuery(*thresholds_for(preset))
-    result = run_once(sppj_f, dataset, query, refine=refine)
+    result = run_once(
+        stps_join, dataset, *thresholds_for(preset), algorithm="s-ppj-f",
+        refine=refine,
+    )
     assert isinstance(result, list)
 
 
 def test_refinements_agree():
     for preset in PRESET_NAMES:
         dataset = dataset_for(preset, BENCH_USERS)
-        query = STPSJoinQuery(*thresholds_for(preset))
-        with_b = {p.key for p in sppj_f(dataset, query, refine="ppj-b")}
-        with_c = {p.key for p in sppj_f(dataset, query, refine="ppj-c")}
+        eps = thresholds_for(preset)
+        with_b = {p.key for p in stps_join(dataset, *eps, refine="ppj-b")}
+        with_c = {p.key for p in stps_join(dataset, *eps, refine="ppj-c")}
         assert with_b == with_c

@@ -4,7 +4,7 @@
   filter-and-refine machinery applied to a single probe;
 * incremental STPSJoin maintenance — insert throughput of the streaming
   engine vs. rerunning S-PPJ-F from scratch after every insertion;
-* process-parallel PPJ-B evaluation vs. the sequential S-PPJ-B;
+* process-parallel S-PPJ-B (``workers=N``) vs. the one-worker run;
 * the temporal join overhead relative to the plain join.
 """
 
@@ -15,8 +15,6 @@ import pytest
 from repro import STPSJoinQuery, stps_join
 from repro.core.incremental import IncrementalSTPSJoin
 from repro.core.knn import naive_similar_users, similar_users
-from repro.core.parallel import parallel_stps_join
-from repro.core.sppj_b import sppj_b
 from repro.core.temporal import TemporalDataset, TemporalQuery, temporal_stps_join
 
 from _common import BENCH_USERS, dataset_for, thresholds_for
@@ -81,11 +79,12 @@ def test_streaming_maintenance(run_once, mode):
 @pytest.mark.parametrize("workers", (1, 2, 4))
 def test_parallel_sppj_b(run_once, workers):
     dataset = dataset_for("twitter", BENCH_USERS)
-    query = STPSJoinQuery(*thresholds_for("twitter"))
-    if workers == 1:
-        result = run_once(sppj_b, dataset, query)
-    else:
-        result = run_once(parallel_stps_join, dataset, query, workers=workers)
+    eps = thresholds_for("twitter")
+    # workers=1 runs inline on the sequential backend, no pool.
+    result = run_once(
+        stps_join, dataset, *eps, algorithm="s-ppj-b",
+        workers=workers if workers > 1 else None,
+    )
     assert isinstance(result, list)
 
 

@@ -34,7 +34,6 @@ from .core import (
     UserPair,
     naive_stps_join,
     naive_topk_stps_join,
-    parallel_stps_join,
     set_similarity,
     similar_users,
     stps_join,
@@ -88,7 +87,6 @@ __all__ = [
     "TemporalQuery",
     "TemporalDataset",
     "temporal_stps_join",
-    "parallel_stps_join",
     "JoinExecutor",
     "ExecutionPolicy",
     "ExecutionReport",

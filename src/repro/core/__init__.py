@@ -4,7 +4,6 @@ from .api import JOIN_ALGORITHMS, TOPK_ALGORITHMS, stps_join, topk_stps_join
 from .export import load_pairs, save_pairs
 from .hausdorff import directed_hausdorff, hausdorff_distance, topk_hausdorff_pairs
 from .knn import naive_similar_users, similar_users
-from .parallel import parallel_stps_join
 from .temporal import (
     TemporalDataset,
     TemporalQuery,
@@ -24,12 +23,6 @@ from .similarity import (
     spatial_distance_sq,
     text_similarity,
 )
-from .sppj_b import sppj_b
-from .sppj_c import sppj_c
-from .sppj_d import sppj_d
-from .sppj_f import sppj_f
-from .topk import topk_sppj_f, topk_sppj_p, topk_sppj_s
-from .topk_d import topk_sppj_d
 from .tuning import (
     TuningResult,
     auto_initial_thresholds,
@@ -62,14 +55,6 @@ __all__ = [
     "ppj_c_pair",
     "ppj_b_pair",
     "ppj_d_pair",
-    "sppj_c",
-    "sppj_b",
-    "sppj_f",
-    "sppj_d",
-    "topk_sppj_f",
-    "topk_sppj_s",
-    "topk_sppj_p",
-    "topk_sppj_d",
     "stps_join",
     "topk_stps_join",
     "JOIN_ALGORITHMS",
@@ -86,7 +71,6 @@ __all__ = [
     "TemporalDataset",
     "temporal_stps_join",
     "naive_temporal_stps_join",
-    "parallel_stps_join",
     "save_pairs",
     "load_pairs",
     "auto_initial_thresholds",

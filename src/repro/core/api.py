@@ -11,23 +11,23 @@ This is the entry point downstream code should use::
 Results are :class:`~repro.core.query.UserPair` lists; threshold queries
 return pairs sorted by descending score, top-k queries return exactly the
 k best (fewer when fewer positive pairs exist).
+
+Every call runs the algorithm's plan (:mod:`repro.exec.plans`, the only
+implementation of each algorithm) through the execution engine: on the
+sequential backend as one chunk unless ``workers=``, ``backend=``,
+``chunk_size=`` or a deadline policy asks for more.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, Optional
 
-from . import kernels as _kernels
+from ..exec import JOIN_PLANS, TOPK_PLANS, JoinExecutor
+from ..exec.plans import Plan
+from ..obs import Telemetry, build_explain
 from .model import STDataset
-from .naive import naive_stps_join, naive_topk_stps_join
 from .pair_eval import PairEvalStats
-from .query import STPSJoinQuery, TopKQuery, UserPair, pair_sort_key
-from .sppj_b import sppj_b
-from .sppj_c import sppj_c
-from .sppj_d import sppj_d
-from .sppj_f import sppj_f
-from .topk import topk_sppj_f, topk_sppj_p, topk_sppj_s
-from .topk_d import topk_sppj_d
+from .query import STPSJoinQuery, TopKQuery
 
 __all__ = [
     "JOIN_ALGORITHMS",
@@ -36,82 +36,70 @@ __all__ = [
     "topk_stps_join",
 ]
 
-#: Threshold-join algorithms by name.  "s-ppj-f" is the paper's best.
-#: All forward ``kernel=`` (the vectorized-kernel backend selector, see
-#: ``docs/performance.md``) to the evaluators that dispatch on it.
-JOIN_ALGORITHMS: Dict[str, Callable[..., List[UserPair]]] = {
-    "naive": lambda ds, q, stats=None, kernel=None, **kw: naive_stps_join(ds, q),
-    "s-ppj-c": lambda ds, q, stats=None, **kw: sppj_c(ds, q, stats=stats, **kw),
-    "s-ppj-b": lambda ds, q, stats=None, **kw: sppj_b(ds, q, stats=stats, **kw),
-    "s-ppj-f": lambda ds, q, stats=None, **kw: sppj_f(ds, q, stats=stats, **kw),
-    "s-ppj-d": lambda ds, q, stats=None, **kw: sppj_d(ds, q, stats=stats, **kw),
-}
+#: Threshold-join algorithms by name, each mapped to its plan.
+#: "s-ppj-f" is the paper's best.
+JOIN_ALGORITHMS: Dict[str, Plan] = JOIN_PLANS
 
-#: Top-k algorithms by name.  "topk-s-ppj-p" wins on most datasets;
-#: "topk-s-ppj-d" is the leaf-partitioned variant the paper sketches.
-TOPK_ALGORITHMS: Dict[str, Callable[..., List[UserPair]]] = {
-    "naive": lambda ds, q, stats=None: naive_topk_stps_join(ds, q),
-    "topk-s-ppj-f": topk_sppj_f,
-    "topk-s-ppj-s": topk_sppj_s,
-    "topk-s-ppj-p": topk_sppj_p,
-    "topk-s-ppj-d": topk_sppj_d,
-}
+#: Top-k algorithms by name, each mapped to its plan.  "topk-s-ppj-p" is
+#: the default; "topk-s-ppj-d" is the leaf-partitioned variant the paper
+#: sketches.
+TOPK_ALGORITHMS: Dict[str, Plan] = TOPK_PLANS
 
 
-def _make_executor(
+def _execute(
+    kind: str,
+    dataset: STDataset,
+    query,
+    algorithm: str,
+    stats: Optional[PairEvalStats],
     workers: Optional[int],
     backend: Optional[str],
     start_method: Optional[str],
     chunk_size: Optional[int],
-    policy=None,
+    policy,
+    with_report: bool,
+    telemetry,
+    with_telemetry: bool,
+    explain: bool,
+    kwargs: dict,
 ):
-    """Build a :class:`repro.exec.JoinExecutor` for the parallel path.
+    """Run ``algorithm``'s plan through the engine and shape the return.
 
-    Imported lazily: :mod:`repro.exec` depends on the algorithm modules
-    this facade re-exports, so a module-level import would be circular.
-    A policy without ``workers``/``backend`` runs on the sequential
-    backend — resilience does not imply parallelism.
+    A call without ``workers``/``backend`` runs on the sequential backend.
+    ``with_telemetry=True`` without an explicit object constructs one so
+    the caller can receive it back; ``explain`` needs one too.
     """
-    from ..exec import JoinExecutor
-
+    if (with_telemetry or explain) and telemetry is None:
+        telemetry = Telemetry()
     if backend is None:
         backend = "process" if workers is not None else "sequential"
-    return JoinExecutor(
+    executor = JoinExecutor(
         workers=workers,
         backend=backend,
         start_method=start_method,
         chunk_size=chunk_size,
         policy=policy,
     )
-
-
-def _resolve_telemetry(telemetry, with_telemetry: bool):
-    """Normalize the two telemetry kwargs to ``(telemetry, append_it)``.
-
-    ``with_telemetry=True`` without an explicit object constructs one so
-    the caller can receive it back in the return tuple.
-    """
-    if with_telemetry and telemetry is None:
-        from ..obs import Telemetry
-
-        telemetry = Telemetry()
-    return telemetry, bool(with_telemetry)
-
-
-def _attach_telemetry(result, telemetry, with_telemetry: bool):
-    """Append ``telemetry`` to the engine's return value when requested."""
-    if not with_telemetry:
-        return result
-    if isinstance(result, tuple):
-        return (*result, telemetry)
-    return result, telemetry
-
-
-def _attach_explain(result, explain_report):
-    """Append the :class:`~repro.obs.ExplainReport` (always last)."""
-    if isinstance(result, tuple):
-        return (*result, explain_report)
-    return result, explain_report
+    run = executor.join if kind == "join" else executor.topk
+    want_report = with_report or explain
+    out = run(
+        dataset,
+        query,
+        algorithm=algorithm,
+        stats=stats,
+        with_report=want_report,
+        telemetry=telemetry,
+        **kwargs,
+    )
+    pairs, report = out if want_report else (out, None)
+    result = [pairs]
+    if with_report:
+        result.append(report)
+    if with_telemetry:
+        result.append(telemetry)
+    if explain:
+        result.append(build_explain(telemetry, report, dataset=dataset))
+    return result[0] if len(result) == 1 else tuple(result)
 
 
 def stps_join(
@@ -148,39 +136,35 @@ def stps_join(
     stats:
         Optional :class:`PairEvalStats` to collect work counters.
     workers / backend / start_method / chunk_size:
-        Passing ``workers`` (or ``backend``) routes evaluation through the
-        parallel execution engine (:class:`repro.exec.JoinExecutor`);
-        results are byte-identical to the sequential path.  ``backend``
-        defaults to ``"process"``; see the executor for the remaining
-        parameters.
+        The execution engine's settings (:class:`repro.exec.JoinExecutor`).
+        Without ``workers`` or ``backend`` the plan runs on the sequential
+        backend; ``workers`` alone selects the ``"process"`` backend.
+        Results are byte-identical on every backend.
     policy:
         Optional :class:`repro.exec.ExecutionPolicy` (deadline, retries,
-        graceful degradation — see ``docs/robustness.md``).  A policy
-        alone routes through the engine on the sequential backend.
+        graceful degradation — see ``docs/robustness.md``).
     with_report:
         Return ``(pairs, report)`` with the run's
         :class:`repro.exec.ExecutionReport` instead of just the pairs.
-        Also routes through the engine.
     telemetry / with_telemetry:
         ``telemetry=`` accepts a :class:`repro.obs.Telemetry` to record
         metrics and trace spans into; ``with_telemetry=True`` constructs
         one and appends it to the return value (after the report when
-        ``with_report`` is also set).  Either routes through the engine;
-        see ``docs/observability.md``.
+        ``with_report`` is also set); see ``docs/observability.md``.
     explain:
         Build an :class:`repro.obs.ExplainReport` (filter funnel, phase
         attribution, chunk stats — the EXPLAIN section of
         ``docs/observability.md``) from the run and append it to the
-        return value, always last.  Implies routing through the engine
-        and constructs an internal ``Telemetry`` when none was given.
+        return value, always last.  Constructs an internal ``Telemetry``
+        when none was given.
     index:
         (keyword-only, via ``**kwargs``) A pre-built warm index to reuse
         instead of rebuilding per call — an
         :class:`~repro.stindex.stgrid.STGridIndex` for the grid
         algorithms or an :class:`~repro.stindex.leaf_index.STLeafIndex`
         for ``"s-ppj-d"``.  Must match the query's ``eps_loc`` (and for
-        the token-probing algorithms carry token lists); routes through
-        the engine, which validates it.  This is the prepared-dataset
+        the token-probing algorithms carry token lists); the plan
+        validates it.  This is the prepared-dataset
         entry point the resident join server (``docs/serving.md``) is
         built on — results are byte-identical to a cold call.
     kernel:
@@ -193,56 +177,12 @@ def stps_join(
         recorded on the :class:`~repro.exec.ExecutionReport` and in
         EXPLAIN artifacts.
     """
-    # Validate the backend selection up front: a bogus kernel= or
-    # REPRO_KERNEL must fail loudly on every algorithm and path, not
-    # only on the ones that dispatch on it.
-    _kernels.resolve_kernel(kwargs.get("kernel"))
     query = STPSJoinQuery(eps_loc=eps_loc, eps_doc=eps_doc, eps_user=eps_user)
-    telemetry, with_telemetry = _resolve_telemetry(telemetry, with_telemetry)
-    if explain and telemetry is None:
-        from ..obs import Telemetry
-
-        telemetry = Telemetry()
-    if (
-        workers is not None
-        or backend is not None
-        or policy is not None
-        or telemetry is not None
-        or with_report
-        or kwargs.get("index") is not None
-    ):
-        executor = _make_executor(
-            workers, backend, start_method, chunk_size, policy
-        )
-        result = executor.join(
-            dataset,
-            query,
-            algorithm=algorithm,
-            stats=stats,
-            with_report=with_report or explain,
-            telemetry=telemetry,
-            **kwargs,
-        )
-        explain_report = None
-        if explain:
-            from ..obs import build_explain
-
-            pairs, report = result
-            explain_report = build_explain(telemetry, report, dataset=dataset)
-            result = (pairs, report) if with_report else pairs
-        result = _attach_telemetry(result, telemetry, with_telemetry)
-        if explain:
-            result = _attach_explain(result, explain_report)
-        return result
-    try:
-        run = JOIN_ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; "
-            f"choose from {sorted(JOIN_ALGORITHMS)}"
-        ) from None
-    pairs = run(dataset, query, stats=stats, **kwargs)
-    return sorted(pairs, key=pair_sort_key)
+    return _execute(
+        "join", dataset, query, algorithm, stats, workers, backend,
+        start_method, chunk_size, policy, with_report, telemetry,
+        with_telemetry, explain, kwargs,
+    )
 
 
 def topk_stps_join(
@@ -265,55 +205,15 @@ def topk_stps_join(
 ):
     """Evaluate a top-k STPSJoin query (Definition 2).
 
-    ``workers`` / ``backend`` route evaluation through the parallel
-    execution engine, exactly as in :func:`stps_join`; the returned k
-    best pairs are byte-identical to the sequential algorithms (ties are
-    broken canonically everywhere).  ``policy``, ``with_report``,
-    ``telemetry``, ``with_telemetry``, ``explain`` and ``index`` (a
-    pre-built warm index, which also routes through the engine) behave
-    as in :func:`stps_join`; ``"topk-s-ppj-d"`` additionally accepts
-    ``fanout=`` on the engine path, and ``kernel=`` selects the kernel
-    backend exactly as in :func:`stps_join`.
+    Every keyword behaves as in :func:`stps_join`; the returned k best
+    pairs are byte-identical on every backend and chunking (ties are
+    broken canonically everywhere).  ``"topk-s-ppj-d"`` additionally
+    accepts ``fanout=``.
     """
-    _kernels.resolve_kernel(kwargs.get("kernel"))
     query = TopKQuery(eps_loc=eps_loc, eps_doc=eps_doc, k=k)
-    telemetry, with_telemetry = _resolve_telemetry(telemetry, with_telemetry)
-    if explain and telemetry is None:
-        from ..obs import Telemetry
-
-        telemetry = Telemetry()
-    if (
-        workers is not None
-        or backend is not None
-        or policy is not None
-        or telemetry is not None
-        or with_report
-        or kwargs
-    ):
-        executor = _make_executor(
-            workers, backend, start_method, chunk_size, policy
-        )
-        result = executor.topk(
-            dataset, query, algorithm=algorithm, stats=stats,
-            with_report=with_report or explain, telemetry=telemetry,
-            **{k_: v for k_, v in kwargs.items() if v is not None},
-        )
-        explain_report = None
-        if explain:
-            from ..obs import build_explain
-
-            pairs, report = result
-            explain_report = build_explain(telemetry, report, dataset=dataset)
-            result = (pairs, report) if with_report else pairs
-        result = _attach_telemetry(result, telemetry, with_telemetry)
-        if explain:
-            result = _attach_explain(result, explain_report)
-        return result
-    try:
-        run = TOPK_ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; "
-            f"choose from {sorted(TOPK_ALGORITHMS)}"
-        ) from None
-    return run(dataset, query, stats=stats)
+    return _execute(
+        "topk", dataset, query, algorithm, stats, workers, backend,
+        start_method, chunk_size, policy, with_report, telemetry,
+        with_telemetry, explain,
+        {k_: v for k_, v in kwargs.items() if v is not None},
+    )

@@ -1,30 +1,28 @@
-"""S-PPJ-F — filter-and-refine STPSJoin over the spatio-textual grid
-(Algorithm 2, the paper's best-performing algorithm).
+"""The filter step of S-PPJ-F (Algorithm 2), shared by every grid plan.
 
-Users are inserted into the grid index one at a time.  Before user ``u``
-is inserted, the tokens of ``u``'s objects probe the per-cell inverted
-lists of ``u``'s cells and their neighbours; every user ``u'`` already in
-the index that shares a token in a relevant cell becomes a *candidate*,
-and the cells contributing evidence are accumulated in ``M^u_{u'}`` (cells
-of ``u``) and ``M^{u'}_{u'}`` (cells of ``u'``).  The optimistic bound
+The tokens of user ``u``'s objects probe the per-cell inverted lists of
+``u``'s cells and their neighbours; every user ``u'`` that shares a token
+in a relevant cell becomes a *candidate*, and the cells contributing
+evidence are accumulated in ``M^u_{u'}`` (cells of ``u``) and
+``M^{u'}_{u'}`` (cells of ``u'``).  The optimistic bound
 
 ``sigma_bar = (sum |D^c_u| over M^u + sum |D^c'_u'| over M^{u'}) / (|Du| + |Du'|)``
 
 assumes every object in a contributing cell matches; pairs with
 ``sigma_bar < eps_user`` are pruned without ever joining objects.  The
-survivors are refined with PPJ-B.
+algorithms themselves (S-PPJ-F and the grid top-k family) are the plans
+of :mod:`repro.exec.plans`; kNN and the temporal join reuse the helpers
+here too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..stindex.stgrid import STGridIndex
 from .model import STDataset, UserId
-from .pair_eval import PairEvalStats, ppj_b_pair, ppj_c_pair
-from .query import STPSJoinQuery, UserPair
 
-__all__ = ["sppj_f", "collect_candidates", "candidate_bound"]
+__all__ = ["collect_candidates", "candidate_bound"]
 
 CellCoord = Tuple[int, int]
 
@@ -33,11 +31,16 @@ def collect_candidates(
     index: STGridIndex,
     dataset: STDataset,
     user: UserId,
+    pos: Optional[Dict[UserId, int]] = None,
+    limit: int = 0,
 ) -> Dict[UserId, Tuple[Set[CellCoord], Set[CellCoord]]]:
-    """Filter step of Algorithm 2 (lines 4-9) for a not-yet-inserted user.
+    """Filter step of Algorithm 2 (lines 4-9) for ``user``.
 
-    Returns, per candidate user already in the index, the pair
-    ``(M^u cells of `user`, M^{u'} cells of the candidate)``.
+    Returns, per candidate user in the index, the pair
+    ``(M^u cells of `user`, M^{u'} cells of the candidate)``.  With
+    ``pos``, only users at positions below ``limit`` are kept — probing a
+    full index this way yields exactly the candidates an index holding
+    only the users before ``limit`` would.
     """
     candidates: Dict[UserId, Tuple[Set[CellCoord], Set[CellCoord]]] = {}
     cell_tokens: Dict[CellCoord, Set[int]] = {}
@@ -48,8 +51,13 @@ def collect_candidates(
         if not tokens:
             continue
         for other_cell in index.relevant_cells(cell):
+            token_map = index.cell_token_users(other_cell)
+            if not token_map:
+                continue
             for token in tokens:
-                for cand in index.token_users(other_cell, token):
+                for cand in token_map.get(token, ()):
+                    if pos is not None and pos[cand] >= limit:
+                        continue
                     entry = candidates.get(cand)
                     if entry is None:
                         entry = (set(), set())
@@ -79,87 +87,3 @@ def candidate_bound(
         own = sum(own_counts.get(c, 0) for c in own_cells)
     other = sum(index.cell_user_count(c, candidate) for c in cand_cells)
     return (own + other) / total
-
-
-def sppj_f(
-    dataset: STDataset,
-    query: STPSJoinQuery,
-    stats: Optional[PairEvalStats] = None,
-    refine: str = "ppj-b",
-    kernel: Optional[str] = None,
-) -> List[UserPair]:
-    """Evaluate an STPSJoin query with S-PPJ-F.
-
-    Parameters
-    ----------
-    refine:
-        Pair evaluator used in the refinement step: ``"ppj-b"`` (the
-        paper's choice, with early termination) or ``"ppj-c"`` (full
-        evaluation) — the ablation knob showing what PPJ-B's pruning
-        contributes inside the filter-and-refine scheme.
-    """
-    if refine not in ("ppj-b", "ppj-c"):
-        raise ValueError(f"unknown refine strategy: {refine!r}")
-    index = STGridIndex(dataset.bounds, query.eps_loc, with_tokens=True)
-    results: List[UserPair] = []
-    sizes = {u: len(dataset.user_objects(u)) for u in dataset.users}
-    # Report pairs in the dataset's user total order, whatever the
-    # insertion order was.
-    rank = {u: i for i, u in enumerate(dataset.users)}
-
-    for user in dataset.users:
-        objects = dataset.user_objects(user)
-        # Per-cell object counts of the incoming user, computed once.
-        own_counts: Dict[CellCoord, int] = {}
-        for obj in objects:
-            cell = index.grid.cell_of(obj.x, obj.y)
-            own_counts[cell] = own_counts.get(cell, 0) + 1
-
-        candidates = collect_candidates(index, dataset, user)
-        index.add_user(user, objects)
-
-        if stats is not None:
-            stats.candidates += len(candidates)
-        for cand, (own_cells, cand_cells) in candidates.items():
-            bound = candidate_bound(
-                index,
-                user,
-                cand,
-                own_cells,
-                cand_cells,
-                sizes[user],
-                sizes[cand],
-                own_counts=own_counts,
-            )
-            if bound < query.eps_user:
-                if stats is not None:
-                    stats.bound_pruned += 1
-                continue
-            if stats is not None:
-                stats.refinements += 1
-            if refine == "ppj-b":
-                score = ppj_b_pair(
-                    index,
-                    cand,
-                    user,
-                    query.eps_loc,
-                    query.eps_doc,
-                    query.eps_user,
-                    sizes[cand],
-                    sizes[user],
-                    stats,
-                    kernel=kernel,
-                )
-            else:
-                total = sizes[cand] + sizes[user]
-                matched = ppj_c_pair(
-                    index, cand, user, query.eps_loc, query.eps_doc, stats,
-                    kernel=kernel,
-                )
-                score = matched / total if total else 0.0
-            if score >= query.eps_user:
-                first, second = (
-                    (cand, user) if rank[cand] < rank[user] else (user, cand)
-                )
-                results.append(UserPair(first, second, score))
-    return results

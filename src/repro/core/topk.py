@@ -1,11 +1,8 @@
-"""Top-k STPSJoin algorithms (Section 4.2).
+"""The canonical top-k heap shared by every top-k algorithm (Section 4.2).
 
-All three algorithms share the skeleton of Algorithm 4 (TOPK-S-PPJ-F):
-users are inserted into the spatio-textual grid one at a time, candidates
-are gathered through the per-cell inverted lists, the optimistic bound
-``sigma_bar`` filters them against the *current* k-th best score, and
-survivors are refined with PPJ-B whose early-termination threshold also
-tracks the k-th best score.  They differ in user ordering and in one extra
+The grid top-k algorithms (Algorithm 4 and its variants) and
+TOPK-S-PPJ-D are the plans of :mod:`repro.exec.plans`; kNN uses the heap
+too.  The grid variants differ only in user order and in one extra
 pruning step:
 
 * **TOPK-S-PPJ-F** — users ascending by object-set size, so the expensive
@@ -25,7 +22,7 @@ Score ties at the k-th position are broken *deterministically* with the
 canonical pair order of :func:`repro.core.query.pair_sort_key`: among
 equal scores the lexicographically smallest pair wins.  Definition 2
 permits any tie-break, but a canonical one makes every top-k algorithm —
-including the oracle and the parallel execution engine — return
+including the oracle and every backend of the execution engine — return
 byte-identical results, which the differential tests rely on.  The bound
 pruning therefore uses *strict* comparisons (``bound < threshold``
 prunes, equality refines): a candidate whose score exactly ties the
@@ -35,15 +32,11 @@ current k-th best may still displace a canonically larger pair.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List
 
-from ..stindex.stgrid import STGridIndex
-from .model import STDataset, UserId
-from .pair_eval import PairEvalStats, ppj_b_pair
-from .query import TopKQuery, UserPair, pair_sort_key
-from .sppj_f import candidate_bound, collect_candidates
+from .query import UserPair, pair_sort_key
 
-__all__ = ["topk_sppj_f", "topk_sppj_s", "topk_sppj_p"]
+__all__ = ["_TopKHeap"]
 
 
 class _HeapItem:
@@ -95,180 +88,3 @@ class _TopKHeap:
         return [
             item.pair for item in sorted(self._heap, key=lambda it: it.sort_key)
         ]
-
-
-def _ordered_pair(rank: Dict[UserId, int], a: UserId, b: UserId, score: float) -> UserPair:
-    return UserPair(a, b, score) if rank[a] < rank[b] else UserPair(b, a, score)
-
-
-def _run_topk(
-    dataset: STDataset,
-    query: TopKQuery,
-    ordered_users: List[UserId],
-    extra_user_bound: bool,
-    stats: Optional[PairEvalStats],
-) -> List[UserPair]:
-    """Shared engine: Algorithm 4 with a pluggable user order and the
-    optional per-user bound of TOPK-S-PPJ-P."""
-    index = STGridIndex(dataset.bounds, query.eps_loc, with_tokens=True)
-    heap = _TopKHeap(query.k)
-    sizes = {u: len(dataset.user_objects(u)) for u in dataset.users}
-    rank = {u: i for i, u in enumerate(dataset.users)}
-    max_prev_size = 0
-
-    for user in ordered_users:
-        objects = dataset.user_objects(user)
-        threshold = heap.threshold
-
-        skip_user = False
-        if extra_user_bound and max_prev_size > 0 and threshold > 0.0:
-            sigma_bar_u = _user_bound(index, dataset, user, sizes[user], max_prev_size)
-            # Strict: a user whose bound ties the threshold may still own
-            # a canonically smaller tie at the k-th position.
-            if sigma_bar_u < threshold:
-                skip_user = True
-
-        if skip_user:
-            if stats is not None:
-                stats.users_skipped += 1
-            index.add_user(user, objects)
-            max_prev_size = max(max_prev_size, sizes[user])
-            continue
-
-        own_counts: Dict[Tuple[int, int], int] = {}
-        for obj in objects:
-            cell = index.grid.cell_of(obj.x, obj.y)
-            own_counts[cell] = own_counts.get(cell, 0) + 1
-
-        candidates = collect_candidates(index, dataset, user)
-        index.add_user(user, objects)
-        max_prev_size = max(max_prev_size, sizes[user])
-
-        if stats is not None:
-            stats.candidates += len(candidates)
-        for cand, (own_cells, cand_cells) in candidates.items():
-            threshold = heap.threshold
-            bound = candidate_bound(
-                index,
-                user,
-                cand,
-                own_cells,
-                cand_cells,
-                sizes[user],
-                sizes[cand],
-                own_counts=own_counts,
-            )
-            if bound < threshold:
-                if stats is not None:
-                    stats.bound_pruned += 1
-                continue
-            if stats is not None:
-                stats.refinements += 1
-            score = ppj_b_pair(
-                index,
-                cand,
-                user,
-                query.eps_loc,
-                query.eps_doc,
-                threshold if threshold > 0.0 else 1e-12,
-                sizes[cand],
-                sizes[user],
-                stats,
-            )
-            if score > 0.0:
-                heap.offer(_ordered_pair(rank, cand, user, score))
-    return heap.results()
-
-
-def _user_bound(
-    index: STGridIndex,
-    dataset: STDataset,
-    user: UserId,
-    size_user: int,
-    max_prev_size: int,
-) -> float:
-    """The TOPK-S-PPJ-P per-user bound ``sigma_bar_u`` (Lemma 2).
-
-    An object of ``user`` is *potentially matched* when one of its tokens
-    appears — contributed by any previously selected user — in the
-    object's cell or an adjacent cell.  With users selected in ascending
-    set-size order, ``(m_u + d_max) / (|Du| + d_max)`` upper-bounds the
-    similarity of ``user`` with every previously selected user.
-    """
-    potentially_matched = 0
-    for obj in dataset.user_objects(user):
-        cell = index.grid.cell_of(obj.x, obj.y)
-        hit = False
-        for other_cell in index.relevant_cells(cell):
-            for token in obj.doc:
-                if index.token_users(other_cell, token):
-                    hit = True
-                    break
-            if hit:
-                break
-        if hit:
-            potentially_matched += 1
-    return (potentially_matched + max_prev_size) / (size_user + max_prev_size)
-
-
-def topk_sppj_f(
-    dataset: STDataset,
-    query: TopKQuery,
-    stats: Optional[PairEvalStats] = None,
-) -> List[UserPair]:
-    """TOPK-S-PPJ-F: users ascending by object-set size (Algorithm 4)."""
-    rank = {u: i for i, u in enumerate(dataset.users)}
-    ordered = sorted(
-        dataset.users, key=lambda u: (len(dataset.user_objects(u)), rank[u])
-    )
-    return _run_topk(dataset, query, ordered, extra_user_bound=False, stats=stats)
-
-
-def topk_sppj_s(
-    dataset: STDataset,
-    query: TopKQuery,
-    stats: Optional[PairEvalStats] = None,
-) -> List[UserPair]:
-    """TOPK-S-PPJ-S: users ordered by the spatial-popularity heuristic.
-
-    Cell scores count the distinct users with objects in the cell or its
-    neighbours; a user's score sums the scores of their objects' cells.
-    High scorers (users active in popular areas) are evaluated first.
-    """
-    score_index = STGridIndex.build(dataset, query.eps_loc, with_tokens=False)
-    grid = score_index.grid
-
-    occupied = {}
-    for u in dataset.users:
-        for cell in score_index.user_cells(u):
-            occupied.setdefault(cell, set()).add(u)
-
-    cell_scores: Dict[Tuple[int, int], int] = {}
-    for cell in occupied:
-        users_nearby: Set[UserId] = set()
-        for other in grid.relevant_cells(cell):
-            users_nearby.update(occupied.get(other, ()))
-        cell_scores[cell] = len(users_nearby)
-
-    user_scores: Dict[UserId, int] = {u: 0 for u in dataset.users}
-    for cell, users_here in occupied.items():
-        score = cell_scores[cell]
-        for u in users_here:
-            user_scores[u] += score * score_index.cell_user_count(cell, u)
-
-    rank = {u: i for i, u in enumerate(dataset.users)}
-    ordered = sorted(dataset.users, key=lambda u: (-user_scores[u], rank[u]))
-    return _run_topk(dataset, query, ordered, extra_user_bound=False, stats=stats)
-
-
-def topk_sppj_p(
-    dataset: STDataset,
-    query: TopKQuery,
-    stats: Optional[PairEvalStats] = None,
-) -> List[UserPair]:
-    """TOPK-S-PPJ-P: ascending size plus the Lemma 2 per-user bound."""
-    rank = {u: i for i, u in enumerate(dataset.users)}
-    ordered = sorted(
-        dataset.users, key=lambda u: (len(dataset.user_objects(u)), rank[u])
-    )
-    return _run_topk(dataset, query, ordered, extra_user_bound=True, stats=stats)

@@ -24,8 +24,8 @@ from ..spatial.geometry import Rect
 from ..stindex.stgrid import STGridIndex
 from .model import STDataset, UserId
 from .pair_eval import ppj_c_pair
+from .api import stps_join
 from .query import STPSJoinQuery, UserPair
-from .sppj_f import sppj_f
 
 __all__ = [
     "TuningResult",
@@ -125,7 +125,7 @@ def auto_initial_thresholds(
     for _ in range(max_relaxations + 1):
         query = STPSJoinQuery(eps_loc=eps_loc, eps_doc=eps_doc, eps_user=eps_user)
         t0 = time.perf_counter()
-        pairs = sppj_f(dataset, query)
+        pairs = stps_join(dataset, eps_loc, eps_doc, eps_user)
         total_seconds += time.perf_counter() - t0
         if len(pairs) > target_size:
             return query, pairs, total_seconds
@@ -183,7 +183,9 @@ def tune_thresholds(
         )
     else:
         t0 = time.perf_counter()
-        pairs = sppj_f(dataset, initial)
+        pairs = stps_join(
+            dataset, initial.eps_loc, initial.eps_doc, initial.eps_user
+        )
         initial_join_seconds = time.perf_counter() - t0
     initial_size = len(pairs)
 

@@ -3,15 +3,16 @@
 One executor drives every join in the repository — the four S-PPJ
 threshold algorithms, the exhaustive oracles and the top-k family — by
 delegating algorithm knowledge to the plans of :mod:`repro.exec.plans`
-and keeping scheduling, worker lifecycle, fault handling and stats
-plumbing here.
+(the only implementation of each algorithm) and keeping scheduling,
+worker lifecycle, fault handling and stats plumbing here.
 
 Backends
 --------
 
 ``sequential``
-    Everything inline in the calling thread.  The baseline all other
-    backends are tested against.
+    Everything inline in the calling thread, on one worker.  This is the
+    route of a plain :func:`~repro.core.api.stps_join` call, and the
+    baseline all other backends are tested against.
 
 ``thread``
     A ``multiprocessing.dummy`` pool: worker state is shared by
@@ -296,7 +297,8 @@ class JoinExecutor:
     ----------
     workers:
         Worker count; ``None`` uses ``os.cpu_count()``.  ``workers=1``
-        always evaluates inline (no pool), whatever the backend.
+        always evaluates inline (no pool), whatever the backend, and the
+        sequential backend always has one worker.
     backend:
         ``"sequential"``, ``"thread"`` or ``"process"``.
     start_method:
@@ -310,7 +312,9 @@ class JoinExecutor:
         Work units (user pairs or users, depending on the algorithm) per
         task; ``None`` (the default) lets the plan's cost model pack
         chunks of balanced *estimated work* (~``|Du|·|Du'|`` per pair)
-        instead of equal unit counts — see ``docs/performance.md``.
+        instead of equal unit counts — see ``docs/performance.md``.  A
+        one-worker run without a deadline has nothing to balance and
+        runs as a single chunk.
     policy:
         Default :class:`~repro.exec.resilience.ExecutionPolicy` for every
         run of this executor; ``None`` keeps the exact, fail-fast
@@ -337,7 +341,10 @@ class JoinExecutor:
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         self.backend = backend
-        self.workers = workers if workers is not None else (os.cpu_count() or 1)
+        if backend == "sequential":
+            self.workers = 1
+        else:
+            self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.chunk_size = chunk_size
         self.policy = policy
         self.last_report: Optional[ExecutionReport] = None
@@ -400,7 +407,7 @@ class JoinExecutor:
         plan = get_plan("join", algorithm)
         pairs, report = self._run(
             plan, dataset, query, stats, kwargs, policy or self.policy,
-            telemetry,
+            telemetry, with_report,
         )
         pairs.sort(key=pair_sort_key)
         self.last_report = report
@@ -428,7 +435,7 @@ class JoinExecutor:
         plan = get_plan("topk", algorithm)
         pairs, report = self._run(
             plan, dataset, query, stats, kwargs, policy or self.policy,
-            telemetry,
+            telemetry, with_report,
         )
         pairs.sort(key=pair_sort_key)
         self.last_report = report
@@ -446,15 +453,19 @@ class JoinExecutor:
         kwargs: dict,
         policy: Optional[ExecutionPolicy],
         telemetry: Optional[Telemetry] = None,
+        with_report: bool = False,
     ) -> Tuple[List[UserPair], ExecutionReport]:
         tele = telemetry if (telemetry is not None and telemetry.enabled) else None
         report = ExecutionReport(
             backend=self.backend,
             start_method=self.start_method,
             algorithm=f"{plan.kind}:{plan.name}",
-            dataset_fingerprint=dataset.fingerprint(),
             kernel=_kernels.resolve_kernel(kwargs.get("kernel")),
         )
+        # Hashing the whole dataset costs as much as a small join, so only
+        # runs whose report is read (or traced) pay for it.
+        if with_report or tele is not None:
+            report.dataset_fingerprint = dataset.fingerprint()
         run_span = None
         if tele is not None:
             run_span = tele.tracer.start_run(
@@ -478,12 +489,18 @@ class JoinExecutor:
             if n_units == 0:
                 return [], report
             # An explicit chunk_size keeps the historical fixed-size
-            # partition (fault plans and tests key on its chunk indices);
-            # otherwise the plan's cost model balances estimated work.
+            # partition (fault plans and tests key on its chunk indices).
+            # One worker without a deadline runs the whole plan as one
+            # chunk: there is no load to balance, and a top-k heap that
+            # spans the run prunes hardest.  Otherwise the plan's cost
+            # model balances estimated work (and gives a deadline its
+            # between-chunk checkpoints).
             if self.chunk_size is not None:
                 chunks = list(plan.chunks(dataset, self.chunk_size))
+            elif self.workers == 1 and (policy is None or policy.deadline is None):
+                chunks = list(plan.chunks(dataset, n_units))
             else:
-                chunks = list(plan.cost_chunks(dataset, max(1, self.workers)))
+                chunks = list(plan.cost_chunks(dataset, self.workers))
             costs = plan.chunk_costs(dataset, chunks)
             if costs is not None:
                 report.chunk_costs = dict(enumerate(costs))

@@ -1,30 +1,36 @@
-"""Per-algorithm execution plans: partitioning + worker-side evaluation.
+"""The algorithms: one execution plan per (top-k) STPSJoin algorithm.
 
-A *plan* tells the :class:`~repro.exec.engine.JoinExecutor` how to
-decompose one algorithm into independent tasks whose union is provably
-equal to the sequential run:
+A plan is the only implementation of its algorithm.  It tells the
+:class:`~repro.exec.engine.JoinExecutor` how to cut the algorithm into
+independent chunks whose union is exactly the whole run; the plain API
+runs the plan as one chunk on the sequential backend, ``workers=`` runs
+the same plan's chunks across a pool.
 
 * **Pairwise plans** (NAIVE, S-PPJ-C, S-PPJ-B) — every user pair is
   evaluated independently against a bulk-built index, so the triangular
-  pair space is simply cut into contiguous chunks (the decomposition of
-  the seed ``core/parallel.py``, generalized to all pairwise evaluators).
+  pair space is simply cut into contiguous chunks.
 
-* **User-shard plans** (S-PPJ-F, S-PPJ-D, the top-k family) — the
-  sequential algorithms are *incremental*: user ``u`` probes an index
-  holding only earlier users.  The parallel decomposition builds the
-  **full** index once and assigns each worker a shard of users; for a
-  user ``u`` the worker re-runs candidate generation against the full
-  index and keeps only candidates preceding ``u`` in the user total
-  order.  Because candidate membership, the ``sigma_bar`` bound and the
-  pair evaluators each depend only on the *two* users involved — never on
-  who else is in the index — the per-pair work (and therefore the result
-  set and the stats counters) is identical to the sequential run, with
-  each unordered pair handled by exactly one shard.
+* **User-shard plans** (S-PPJ-F, S-PPJ-D, the top-k family) — the paper's
+  algorithms are *incremental*: users are visited in an algorithm-specific
+  order and user ``u`` probes an index holding only the users before it.
+  A plan builds the **full** index once and, for the user at position
+  ``p`` of its order, keeps only candidates at earlier positions (S-PPJ-D:
+  later ones) while probing.  Because candidate membership, the
+  ``sigma_bar`` bound and the pair evaluators each depend only on the
+  *two* users involved — never on who else is in the index — this is the
+  incremental algorithm exactly, with each unordered pair handled at one
+  position.  The user orders:
 
-* **Top-k plans** keep a *local* canonical top-k heap per task: a pair
-  pruned against a task-local threshold scores below that task's k-th
-  best pair, hence below the global k-th best, so merging the per-task
-  heaps and re-selecting canonically yields exactly the sequential top-k
+  - S-PPJ-F and S-PPJ-D: dataset order;
+  - TOPK-S-PPJ-F and TOPK-S-PPJ-D: ascending ``(size, dataset rank)``;
+  - TOPK-S-PPJ-S: the spatial-popularity order;
+  - TOPK-S-PPJ-P: ascending ``(size, dataset rank)``, plus the Lemma 2
+    per-user bound over the users earlier in that order.
+
+* **Top-k plans** keep a *local* canonical top-k heap per chunk: a pair
+  pruned against a chunk-local threshold scores below that chunk's k-th
+  best pair, hence below the global k-th best, so merging the per-chunk
+  heaps and re-selecting canonically yields exactly the one-chunk top-k
   (ties broken by :func:`repro.core.query.pair_sort_key` everywhere).
 
 Worker *state* objects are built either in the parent (sequential /
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..core import kernels as _kernels
 from ..core.model import STDataset, UserId
@@ -88,10 +94,14 @@ class Plan:
       order.  Deterministic chunk *indexing* is part of its contract:
       fault plans and the resilience tests key on chunk indices.
     * :meth:`cost_chunks` — used when the caller did not pin a chunk
-      size.  Subclasses with a cost model pack chunks so estimated
-      *work*, not unit count, is balanced, and emit the heaviest chunks
-      first so dynamic scheduling fills the tail with light ones.  The
-      base implementation falls back to size-based adaptive chunking.
+      size and there are several workers or a deadline.  Subclasses with
+      a cost model pack chunks so estimated *work*, not unit count, is
+      balanced, and emit the heaviest chunks first so dynamic scheduling
+      fills the tail with light ones.  The base implementation falls
+      back to size-based adaptive chunking.
+
+    Otherwise (one worker, no deadline) the engine runs ``chunks`` with
+    ``chunk_size = num_units``: the whole plan as one chunk.
 
     Both emit chunks in the *compact encoding* their ``run_chunk``
     expects — ``(i, j0, j1)`` row segments for pairwise plans, position
@@ -339,7 +349,12 @@ class _PairwisePlan(Plan):
 
 
 class _UserShardPlan(Plan):
-    """Shared partitioner for plans whose unit is one user."""
+    """Shared partitioner for plans whose unit is one user.
+
+    A unit is a *position* in the plan's user order (``state["order"]``),
+    so a chunk is a contiguous stretch of that order.  ``unit_sizes`` gives
+    the object-set sizes in the same order, for the cost model.
+    """
 
     def num_units(self, dataset: STDataset) -> int:
         return dataset.num_users
@@ -347,13 +362,16 @@ class _UserShardPlan(Plan):
     def chunks(self, dataset: STDataset, chunk_size: int):
         return _user_shards(dataset.num_users, chunk_size)
 
+    def unit_sizes(self, dataset: STDataset) -> List[int]:
+        return _user_sizes(dataset)
+
     def cost_chunks(self, dataset: STDataset, workers: int):
-        return _balanced_user_shards(_user_sizes(dataset), workers)
+        return _balanced_user_shards(self.unit_sizes(dataset), workers)
 
     def chunk_costs(self, dataset: STDataset, chunk_list: Sequence):
         # Position p costs |Du_p|·(Σ_{q<p} |Du_q|) + |Du_p| + 1 — the
         # per-user cost _balanced_user_shards cuts the cumulative curve on.
-        sizes = _user_sizes(dataset)
+        sizes = self.unit_sizes(dataset)
         prefix = [0]
         for s in sizes:
             prefix.append(prefix[-1] + s)
@@ -363,6 +381,43 @@ class _UserShardPlan(Plan):
             )
             for chunk in chunk_list
         ]
+
+
+def _size_order(dataset: STDataset) -> List[UserId]:
+    """Users ascending by object-set size, ties by dataset rank."""
+    return sorted(dataset.users, key=lambda u: len(dataset.user_objects(u)))
+
+
+def _shard_state(dataset: STDataset, query, index, order, kernel, **extra):
+    """The state every user-shard plan runs on."""
+    return {
+        "dataset": dataset,
+        "index": index,
+        "query": query,
+        "order": order,
+        "pos": {u: p for p, u in enumerate(order)},
+        "rank": {u: i for i, u in enumerate(dataset.users)},
+        "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
+        "kernel": _kernels.resolve_kernel(kernel),
+        **extra,
+    }
+
+
+def _own_cell_counts(index: STGridIndex, dataset: STDataset, user: UserId):
+    """``{cell: |D^c_u|}`` of ``user``, for :func:`candidate_bound`."""
+    counts: Dict[Tuple[int, int], int] = {}
+    for obj in dataset.user_objects(user):
+        cell = index.grid.cell_of(obj.x, obj.y)
+        counts[cell] = counts.get(cell, 0) + 1
+    return counts
+
+
+def _record_shard(reg, evaluated: int, emitted: int, cand_seconds: float) -> None:
+    """Fold one chunk's candidate tallies into the active registry."""
+    if reg is not None:
+        reg.counter("pairs.evaluated").inc(evaluated)
+        reg.counter("pairs.emitted").inc(emitted)
+        reg.histogram("phase.candidates").observe(cand_seconds)
 
 
 # -- threshold joins ---------------------------------------------------------------
@@ -541,7 +596,8 @@ class SPPJBPlan(_PairwisePlan):
 
 
 class SPPJFPlan(_UserShardPlan):
-    """S-PPJ-F: full grid index + per-user candidate generation in workers."""
+    """S-PPJ-F (Algorithm 2): users in dataset order, each probing for
+    candidates among the users before it, bound-pruned, PPJ-B refined."""
 
     name = "s-ppj-f"
 
@@ -559,46 +615,26 @@ class SPPJFPlan(_UserShardPlan):
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=True)
         else:
             _check_grid_index(index, query.eps_loc, need_tokens=True)
-        return {
-            "dataset": dataset,
-            "users": list(dataset.users),
-            "index": index,
-            "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
-            "rank": {u: i for i, u in enumerate(dataset.users)},
-            "query": query,
-            "refine": refine,
-            "kernel": _kernels.resolve_kernel(kernel),
-        }
+        return _shard_state(
+            dataset, query, index, list(dataset.users), kernel, refine=refine
+        )
 
     def run_chunk(self, state, chunk, stats):
         dataset: STDataset = state["dataset"]
-        users_list = state["users"]
         index: STGridIndex = state["index"]
-        sizes, rank = state["sizes"], state["rank"]
+        order, pos, sizes = state["order"], state["pos"], state["sizes"]
         query: STPSJoinQuery = state["query"]
         refine: str = state["refine"]
         reg = _obs.active()
         cand_seconds = 0.0
         n_evaluated = 0
         out: List[UserPair] = []
-        for pos in chunk:
-            user = users_list[pos]
-            my_rank = rank[user]
-            own_counts: Dict[Tuple[int, int], int] = {}
-            for obj in dataset.user_objects(user):
-                cell = index.grid.cell_of(obj.x, obj.y)
-                own_counts[cell] = own_counts.get(cell, 0) + 1
-
-            # Candidate generation against the *full* index, restricted to
-            # users preceding `user`: exactly the candidate set the
-            # sequential, incrementally built index produces at u's turn.
+        for p in chunk:
+            user = order[p]
+            own_counts = _own_cell_counts(index, dataset, user)
             if reg is not None:
                 started = time.perf_counter()
-            candidates = {
-                cand: cells
-                for cand, cells in collect_candidates(index, dataset, user).items()
-                if rank[cand] < my_rank
-            }
+            candidates = collect_candidates(index, dataset, user, pos, p)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)
@@ -643,15 +679,12 @@ class SPPJFPlan(_UserShardPlan):
                     score = matched / total if total else 0.0
                 if score >= query.eps_user:
                     out.append(UserPair(cand, user, score))
-        if reg is not None:
-            reg.counter("pairs.evaluated").inc(n_evaluated)
-            reg.counter("pairs.emitted").inc(len(out))
-            reg.histogram("phase.candidates").observe(cand_seconds)
+        _record_shard(reg, n_evaluated, len(out), cand_seconds)
         return out
 
 
 class SPPJDPlan(_UserShardPlan):
-    """S-PPJ-D: full leaf index + per-user candidate generation in workers."""
+    """S-PPJ-D: leaf-token probing; each user pairs with later users."""
 
     name = "s-ppj-d"
 
@@ -670,30 +703,22 @@ class SPPJDPlan(_UserShardPlan):
             )
         elif index.eps_loc != query.eps_loc:
             raise ValueError("prebuilt index eps_loc does not match the query")
-        return {
-            "index": index,
-            "users": list(dataset.users),
-            "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
-            "rank": {u: i for i, u in enumerate(dataset.users)},
-            "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
-        }
+        return _shard_state(dataset, query, index, list(dataset.users), kernel)
 
     def run_chunk(self, state, chunk, stats):
         index: STLeafIndex = state["index"]
-        users_list = state["users"]
-        sizes, rank = state["sizes"], state["rank"]
+        order, pos, sizes = state["order"], state["pos"], state["sizes"]
         query: STPSJoinQuery = state["query"]
+        n_users = len(order)
         reg = _obs.active()
         cand_seconds = 0.0
         n_evaluated = 0
         out: List[UserPair] = []
-        for pos in chunk:
-            user = users_list[pos]
-            my_rank = rank[user]
+        for p in chunk:
+            user = order[p]
             if reg is not None:
                 started = time.perf_counter()
-            candidates = _leaf_candidates(index, user, rank, lambda r: r > my_rank)
+            candidates = _leaf_candidates(index, user, pos, p + 1, n_users)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)
@@ -726,21 +751,20 @@ class SPPJDPlan(_UserShardPlan):
                 )
                 if score >= query.eps_user:
                     out.append(UserPair(user, cand, score))
-        if reg is not None:
-            reg.counter("pairs.evaluated").inc(n_evaluated)
-            reg.counter("pairs.emitted").inc(len(out))
-            reg.histogram("phase.candidates").observe(cand_seconds)
+        _record_shard(reg, n_evaluated, len(out), cand_seconds)
         return out
 
 
-def _leaf_candidates(index: STLeafIndex, user: UserId, rank, keep):
-    """S-PPJ-D candidate generation: leaf-token probing with a rank filter.
+def _leaf_candidates(
+    index: STLeafIndex, user: UserId, pos: Dict[UserId, int], lo: int, hi: int
+) -> Dict[UserId, Tuple[Set[int], Set[int]]]:
+    """S-PPJ-D candidate generation: leaf-token probing that keeps only
+    users at positions ``lo <= pos < hi``.
 
-    ``keep`` receives the candidate's rank and decides membership —
-    S-PPJ-D pairs each user with *higher*-ranked candidates (mirroring
-    the sequential algorithm), the top-k plan with lower-ranked ones.
+    S-PPJ-D pairs each user with the users *after* it in dataset order,
+    TOPK-S-PPJ-D with the users *before* it in ascending-size order.
     """
-    candidates: Dict[UserId, Tuple[set, set]] = {}
+    candidates: Dict[UserId, Tuple[Set[int], Set[int]]] = {}
     for leaf in index.user_leaves(user):
         tokens = index.user_leaf_tokens(user, leaf)
         if not tokens:
@@ -748,7 +772,7 @@ def _leaf_candidates(index: STLeafIndex, user: UserId, rank, keep):
         for other_leaf in index.relevant_leaves(leaf):
             for token in tokens:
                 for cand in index.token_users(other_leaf, token):
-                    if not keep(rank[cand]):
+                    if not lo <= pos[cand] < hi:
                         continue
                     entry = candidates.get(cand)
                     if entry is None:
@@ -760,6 +784,11 @@ def _leaf_candidates(index: STLeafIndex, user: UserId, rank, keep):
 
 
 # -- top-k joins -------------------------------------------------------------------
+
+
+def _ordered_pair(rank, a: UserId, b: UserId, score: float) -> UserPair:
+    """``UserPair`` with the users in dataset order."""
+    return UserPair(a, b, score) if rank[a] < rank[b] else UserPair(b, a, score)
 
 
 class NaiveTopKPlan(_PairwisePlan):
@@ -799,18 +828,25 @@ class NaiveTopKPlan(_PairwisePlan):
         return results
 
 
-class TopKGridPlan(_UserShardPlan):
-    """Grid-based top-k (TOPK-S-PPJ-F/-S/-P all reduce to this in parallel).
+class _TopKGridPlan(_UserShardPlan):
+    """The grid top-k skeleton of Algorithm 4 (TOPK-S-PPJ-F/-S/-P).
 
-    The sequential variants differ only in user *ordering* and pruning
-    aggressiveness; their canonical result is identical, so one parallel
-    plan serves all three names.  Each task keeps a local canonical heap
-    whose threshold drives the ``sigma_bar`` bound and the PPJ-B early
-    termination — always at most the global threshold, hence safe.
+    Users are visited in the plan's user order.  Each user probes the
+    full grid for candidates at *earlier* positions, which are refined in
+    position order (so the run, and its counters, do not depend on set
+    iteration order): the ``sigma_bar`` bound and PPJ-B's early
+    termination both test against the chunk's current k-th best score.
+    That is the global threshold when the run is one chunk, and never
+    above it otherwise, so pruning stays safe.
     """
 
     kind = "topk"
-    name = "topk-s-ppj-f"
+
+    def unit_sizes(self, dataset: STDataset) -> List[int]:
+        return sorted(_user_sizes(dataset))
+
+    def user_order(self, dataset: STDataset, index: STGridIndex) -> List[UserId]:
+        return _size_order(dataset)
 
     def build_state(
         self,
@@ -823,46 +859,42 @@ class TopKGridPlan(_UserShardPlan):
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=True)
         else:
             _check_grid_index(index, query.eps_loc, need_tokens=True)
-        return {
-            "dataset": dataset,
-            "users": list(dataset.users),
-            "index": index,
-            "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
-            "rank": {u: i for i, u in enumerate(dataset.users)},
-            "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
-        }
+        return _shard_state(
+            dataset, query, index, self.user_order(dataset, index), kernel
+        )
+
+    def skip_user(self, state, p: int, threshold: float) -> bool:
+        """Whether every pair of the user at position ``p`` with an
+        earlier user provably scores below ``threshold``."""
+        return False
 
     def run_chunk(self, state, chunk, stats):
         dataset: STDataset = state["dataset"]
-        users_list = state["users"]
         index: STGridIndex = state["index"]
-        sizes, rank = state["sizes"], state["rank"]
+        order, pos, rank = state["order"], state["pos"], state["rank"]
+        sizes = state["sizes"]
         query: TopKQuery = state["query"]
         reg = _obs.active()
         cand_seconds = 0.0
         n_evaluated = 0
         heap = _TopKHeap(query.k)
-        for pos in chunk:
-            user = users_list[pos]
-            my_rank = rank[user]
-            own_counts: Dict[Tuple[int, int], int] = {}
-            for obj in dataset.user_objects(user):
-                cell = index.grid.cell_of(obj.x, obj.y)
-                own_counts[cell] = own_counts.get(cell, 0) + 1
+        for p in chunk:
+            user = order[p]
+            if self.skip_user(state, p, heap.threshold):
+                if stats is not None:
+                    stats.users_skipped += 1
+                continue
+            own_counts = _own_cell_counts(index, dataset, user)
             if reg is not None:
                 started = time.perf_counter()
-            candidates = {
-                cand: cells
-                for cand, cells in collect_candidates(index, dataset, user).items()
-                if rank[cand] < my_rank
-            }
+            candidates = collect_candidates(index, dataset, user, pos, p)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)
             if stats is not None:
                 stats.candidates += len(candidates)
-            for cand, (own_cells, cand_cells) in candidates.items():
+            for cand in sorted(candidates, key=pos.__getitem__):
+                own_cells, cand_cells = candidates[cand]
                 threshold = heap.threshold
                 bound = candidate_bound(
                     index,
@@ -893,20 +925,122 @@ class TopKGridPlan(_UserShardPlan):
                     kernel=state["kernel"],
                 )
                 if score > 0.0:
-                    heap.offer(UserPair(cand, user, score))
+                    heap.offer(_ordered_pair(rank, cand, user, score))
         results = heap.results()
-        if reg is not None:
-            reg.counter("pairs.evaluated").inc(n_evaluated)
-            reg.counter("pairs.emitted").inc(len(results))
-            reg.histogram("phase.candidates").observe(cand_seconds)
+        _record_shard(reg, n_evaluated, len(results), cand_seconds)
         return results
 
 
+class TopKFPlan(_TopKGridPlan):
+    """TOPK-S-PPJ-F: users ascending by object-set size (Algorithm 4)."""
+
+    name = "topk-s-ppj-f"
+
+
+class TopKSPlan(_TopKGridPlan):
+    """TOPK-S-PPJ-S: users ordered by the spatial-popularity heuristic.
+
+    A cell's score counts the distinct users with objects in the cell or
+    its neighbours; a user's score sums, over their objects, the score of
+    the object's cell.  High scorers (users active in popular areas) come
+    first, ties in dataset order.
+    """
+
+    name = "topk-s-ppj-s"
+
+    def unit_sizes(self, dataset: STDataset) -> List[int]:
+        # The order needs the grid, which is built after chunking; dataset
+        # order is the cost model's stand-in.
+        return _user_sizes(dataset)
+
+    def user_order(self, dataset: STDataset, index: STGridIndex) -> List[UserId]:
+        occupied: Dict[Tuple[int, int], List[UserId]] = {}
+        for u in dataset.users:
+            for cell in index.user_cells(u):
+                occupied.setdefault(cell, []).append(u)
+        scores = dict.fromkeys(dataset.users, 0)
+        for cell, here in occupied.items():
+            nearby: Set[UserId] = set()
+            for other in index.relevant_cells(cell):
+                nearby.update(occupied.get(other, ()))
+            for u in here:
+                scores[u] += len(nearby) * index.cell_user_count(cell, u)
+        return sorted(dataset.users, key=lambda u: -scores[u])
+
+
+class TopKPPlan(_TopKGridPlan):
+    """TOPK-S-PPJ-P: ascending size plus the Lemma 2 per-user bound."""
+
+    name = "topk-s-ppj-p"
+
+    def skip_user(self, state, p: int, threshold: float) -> bool:
+        if p == 0 or threshold <= 0.0:
+            return False
+        order, sizes = state["order"], state["sizes"]
+        # Ascending size order: the previous user is the largest so far.
+        max_prev = sizes[order[p - 1]]
+        if max_prev == 0:
+            return False
+        bound = _user_bound(
+            state["index"], state["dataset"], order[p], state["pos"], p,
+            sizes[order[p]], max_prev,
+        )
+        # Strict: a user whose bound ties the threshold may still own a
+        # canonically smaller tie at the k-th position.
+        return bound < threshold
+
+
+def _user_bound(
+    index: STGridIndex,
+    dataset: STDataset,
+    user: UserId,
+    pos: Dict[UserId, int],
+    p: int,
+    size_user: int,
+    max_prev_size: int,
+) -> float:
+    """The TOPK-S-PPJ-P per-user bound ``sigma_bar_u`` (Lemma 2).
+
+    An object of ``user`` is *potentially matched* when one of its tokens
+    appears — contributed by a user at a position before ``p`` — in the
+    object's cell or an adjacent cell.  With users in ascending set-size
+    order, ``(m_u + d_max) / (|Du| + d_max)`` upper-bounds the similarity
+    of ``user`` with every earlier user.
+    """
+    by_cell: Dict[Tuple[int, int], list] = {}
+    for obj in dataset.user_objects(user):
+        by_cell.setdefault(index.grid.cell_of(obj.x, obj.y), []).append(obj)
+    potentially_matched = 0
+    for cell, objs in by_cell.items():
+        token_maps = [
+            index.cell_token_users(other) for other in index.relevant_cells(cell)
+        ]
+        for obj in objs:
+            if _seen_before(token_maps, obj.doc, pos, p):
+                potentially_matched += 1
+    return (potentially_matched + max_prev_size) / (size_user + max_prev_size)
+
+
+def _seen_before(token_maps, doc, pos, p: int) -> bool:
+    """Whether a user before position ``p`` has a token of ``doc`` in one
+    of the cells whose inverted lists are ``token_maps``."""
+    for token_map in token_maps:
+        for token in doc:
+            for owner in token_map.get(token, ()):
+                if pos[owner] < p:
+                    return True
+    return False
+
+
 class TopKLeafPlan(_UserShardPlan):
-    """Leaf-based top-k (TOPK-S-PPJ-D) with per-task local heaps."""
+    """TOPK-S-PPJ-D: users ascending by size, leaf-token candidates among
+    earlier users, refined in position order against the chunk's heap."""
 
     kind = "topk"
     name = "topk-s-ppj-d"
+
+    def unit_sizes(self, dataset: STDataset) -> List[int]:
+        return sorted(_user_sizes(dataset))
 
     def build_state(
         self,
@@ -920,37 +1054,30 @@ class TopKLeafPlan(_UserShardPlan):
             index = STLeafIndex(dataset, query.eps_loc, fanout=fanout)
         elif index.eps_loc != query.eps_loc:
             raise ValueError("prebuilt index eps_loc does not match the query")
-        return {
-            "index": index,
-            "users": list(dataset.users),
-            "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
-            "rank": {u: i for i, u in enumerate(dataset.users)},
-            "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
-        }
+        return _shard_state(dataset, query, index, _size_order(dataset), kernel)
 
     def run_chunk(self, state, chunk, stats):
         index: STLeafIndex = state["index"]
-        users_list = state["users"]
-        sizes, rank = state["sizes"], state["rank"]
+        order, pos, rank = state["order"], state["pos"], state["rank"]
+        sizes = state["sizes"]
         query: TopKQuery = state["query"]
         reg = _obs.active()
         cand_seconds = 0.0
         n_evaluated = 0
         heap = _TopKHeap(query.k)
-        for pos in chunk:
-            user = users_list[pos]
-            my_rank = rank[user]
+        for p in chunk:
+            user = order[p]
             if reg is not None:
                 started = time.perf_counter()
-            candidates = _leaf_candidates(index, user, rank, lambda r: r < my_rank)
+            candidates = _leaf_candidates(index, user, pos, 0, p)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)
             size_u = sizes[user]
             if stats is not None:
                 stats.candidates += len(candidates)
-            for cand, (own_leaves, cand_leaves) in candidates.items():
+            for cand in sorted(candidates, key=pos.__getitem__):
+                own_leaves, cand_leaves = candidates[cand]
                 threshold = heap.threshold
                 total = size_u + sizes[cand]
                 if total == 0:
@@ -976,32 +1103,25 @@ class TopKLeafPlan(_UserShardPlan):
                     kernel=state["kernel"],
                 )
                 if score > 0.0:
-                    heap.offer(UserPair(cand, user, score))
+                    heap.offer(_ordered_pair(rank, cand, user, score))
         results = heap.results()
-        if reg is not None:
-            reg.counter("pairs.evaluated").inc(n_evaluated)
-            reg.counter("pairs.emitted").inc(len(results))
-            reg.histogram("phase.candidates").observe(cand_seconds)
+        _record_shard(reg, n_evaluated, len(results), cand_seconds)
         return results
 
 
-_GRID_TOPK = TopKGridPlan()
-
-#: Threshold-join plans by algorithm name (mirrors ``JOIN_ALGORITHMS``).
+#: Threshold-join plans by algorithm name (``repro.JOIN_ALGORITHMS``).
 JOIN_PLANS: Dict[str, Plan] = {
     plan.name: plan
     for plan in (NaiveJoinPlan(), SPPJCPlan(), SPPJBPlan(), SPPJFPlan(), SPPJDPlan())
 }
 
-#: Top-k plans by algorithm name (mirrors ``TOPK_ALGORITHMS``).  The
-#: three grid variants share one parallel plan — their canonical results
-#: are identical; they differ only in sequential evaluation order.
+#: Top-k plans by algorithm name (``repro.TOPK_ALGORITHMS``); each name
+#: runs its own algorithm.
 TOPK_PLANS: Dict[str, Plan] = {
-    "naive": NaiveTopKPlan(),
-    "topk-s-ppj-f": _GRID_TOPK,
-    "topk-s-ppj-s": _GRID_TOPK,
-    "topk-s-ppj-p": _GRID_TOPK,
-    "topk-s-ppj-d": TopKLeafPlan(),
+    plan.name: plan
+    for plan in (
+        NaiveTopKPlan(), TopKFPlan(), TopKSPlan(), TopKPPlan(), TopKLeafPlan()
+    )
 }
 
 

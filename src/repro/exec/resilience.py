@@ -183,7 +183,8 @@ class ExecutionReport:
     ``run_id`` is the deterministic run identifier (the traced run span's
     id when telemetry is active, an engine-local sequence otherwise),
     ``dataset_fingerprint`` the stable content hash of the joined dataset
-    (:meth:`repro.core.model.STDataset.fingerprint`), and ``artifacts``
+    (:meth:`repro.core.model.STDataset.fingerprint`; only computed when
+    the caller asked for the report or attached telemetry), and ``artifacts``
     maps each written artifact kind (``trace``, ``metrics``, ``explain``)
     to its filesystem path — the CLI records everything it writes here so
     :meth:`summary` can point at it.

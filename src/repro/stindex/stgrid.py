@@ -339,6 +339,16 @@ class STGridIndex:
         per_user = self._cell_objects.get(cell)
         return list(per_user.keys()) if per_user else []
 
+    def cell_token_users(self, cell: CellCoord) -> Dict[int, Set[UserId]]:
+        """The inverted list of ``cell``: token id -> users having it there.
+
+        One lookup per cell lets a probe over many tokens skip the
+        per-token :meth:`token_users` call.
+        """
+        if not self.with_tokens:
+            raise RuntimeError("index built without token lists")
+        return self._cell_token_users.get(cell) or {}
+
     def token_users(self, cell: CellCoord, token: int) -> Set[UserId]:
         """``G.getTokenUsers``: users whose objects in ``cell`` contain ``token``."""
         if not self.with_tokens:

@@ -26,9 +26,6 @@ from repro import STDataset, Telemetry, stps_join, topk_stps_join
 from repro.core import kernels
 from repro.core.knn import similar_users
 from repro.core.pair_eval import ppj_b_pair, ppj_c_pair
-from repro.core.query import STPSJoinQuery
-from repro.core.sppj_b import sppj_b
-from repro.core.sppj_c import sppj_c
 from repro.obs import runtime as _obs
 from repro.obs.metrics import MetricsRegistry
 from repro.stindex.stgrid import STGridIndex
@@ -118,10 +115,14 @@ def _scores_hex(pairs):
 def test_batch_kernel_matches_scalar_joins(dataset, q):
     """The fused batch tier is bit-identical to the scalar traversals."""
     eps_doc, eps_user = q
-    query = STPSJoinQuery(_EPS_LOC, eps_doc, eps_user)
-    for algo in (sppj_c, sppj_b):
-        scalar = algo(dataset, query, kernel="python")
-        batched = algo(dataset, query, kernel="numpy")
+    for algorithm in ("s-ppj-c", "s-ppj-b"):
+        scalar, batched = (
+            stps_join(
+                dataset, _EPS_LOC, eps_doc, eps_user, algorithm=algorithm,
+                kernel=kernel,
+            )
+            for kernel in ("python", "numpy")
+        )
         assert _scores_hex(batched) == _scores_hex(scalar)
 
 

@@ -11,10 +11,6 @@ from hypothesis import strategies as st
 from repro import STDataset, STPSJoinQuery, naive_stps_join, stps_join
 from repro.core.pair_eval import PairEvalStats
 from repro.core.query import pairs_to_dict
-from repro.core.sppj_b import sppj_b
-from repro.core.sppj_c import sppj_c
-from repro.core.sppj_d import sppj_d
-from repro.core.sppj_f import sppj_f
 from repro.stindex.leaf_index import STLeafIndex
 from tests.helpers import build_clustered_dataset, build_random_dataset
 
@@ -151,16 +147,15 @@ class TestAlgorithmInternals:
         """On a dataset with scattered users, PPJ-B must actually prune."""
         ds = build_random_dataset(1, n_users=15, extent=10.0)
         stats = PairEvalStats()
-        sppj_b(ds, STPSJoinQuery(0.05, 0.5, 0.5), stats=stats)
+        stps_join(ds, 0.05, 0.5, 0.5, algorithm="s-ppj-b", stats=stats)
         assert stats.early_terminations > 0
 
     def test_sppj_f_prunes_pairs_entirely(self):
         """S-PPJ-F must evaluate fewer cell joins than S-PPJ-C."""
         ds = build_random_dataset(2, n_users=15, extent=10.0)
-        query = STPSJoinQuery(0.05, 0.5, 0.5)
         stats_c, stats_f = PairEvalStats(), PairEvalStats()
-        sppj_c(ds, query, stats=stats_c)
-        sppj_f(ds, query, stats=stats_f)
+        stps_join(ds, 0.05, 0.5, 0.5, algorithm="s-ppj-c", stats=stats_c)
+        stps_join(ds, 0.05, 0.5, 0.5, algorithm="s-ppj-f", stats=stats_f)
         assert stats_f.cell_joins <= stats_c.cell_joins
 
     def test_sppj_d_accepts_prebuilt_index(self):
@@ -168,14 +163,14 @@ class TestAlgorithmInternals:
         query = STPSJoinQuery(0.05, 0.3, 0.3)
         index = STLeafIndex(ds, query.eps_loc, fanout=32)
         expected = naive_stps_join(ds, query)
-        got = sppj_d(ds, query, index=index)
+        got = stps_join(ds, 0.05, 0.3, 0.3, algorithm="s-ppj-d", index=index)
         assert_same_pairs(expected, got, "prebuilt index")
 
     def test_sppj_d_rejects_mismatched_index(self):
         ds = build_clustered_dataset(4, n_users=4)
         index = STLeafIndex(ds, 0.01, fanout=32)
         with pytest.raises(ValueError):
-            sppj_d(ds, STPSJoinQuery(0.05, 0.3, 0.3), index=index)
+            stps_join(ds, 0.05, 0.3, 0.3, algorithm="s-ppj-d", index=index)
 
     @pytest.mark.parametrize("fanout", [4, 16, 64, 256])
     def test_sppj_d_fanout_invariant_results(self, fanout):
@@ -197,20 +192,15 @@ class TestAlgorithmInternals:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_sppj_f_refine_ablation_equivalent(self, seed):
-        from repro.core.sppj_f import sppj_f as _sppj_f
-
         ds = build_clustered_dataset(seed, n_users=8)
-        query = STPSJoinQuery(0.05, 0.3, 0.3)
-        with_b = {p.key for p in _sppj_f(ds, query, refine="ppj-b")}
-        with_c = {p.key for p in _sppj_f(ds, query, refine="ppj-c")}
+        with_b = {p.key for p in stps_join(ds, 0.05, 0.3, 0.3, refine="ppj-b")}
+        with_c = {p.key for p in stps_join(ds, 0.05, 0.3, 0.3, refine="ppj-c")}
         assert with_b == with_c
 
     def test_sppj_f_unknown_refine(self):
-        from repro.core.sppj_f import sppj_f as _sppj_f
-
         ds = build_clustered_dataset(0, n_users=4)
         with pytest.raises(ValueError):
-            _sppj_f(ds, STPSJoinQuery(0.05, 0.3, 0.3), refine="magic")
+            stps_join(ds, 0.05, 0.3, 0.3, refine="magic")
 
     def test_sppj_d_unknown_partitioner(self):
         ds = build_clustered_dataset(0, n_users=4)

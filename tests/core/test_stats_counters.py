@@ -4,14 +4,12 @@ import multiprocessing
 
 import pytest
 
-from repro import STPSJoinQuery, TopKQuery
+from repro import STPSJoinQuery, TopKQuery, stps_join, topk_stps_join
 from repro.core.pair_eval import PairEvalStats
-from repro.core.sppj_b import sppj_b
-from repro.core.sppj_d import sppj_d
-from repro.core.sppj_f import sppj_f
-from repro.core.topk import topk_sppj_p
-from repro.exec import JoinExecutor
-from tests.helpers import build_clustered_dataset, build_random_dataset
+from repro.core.similarity import set_similarity
+from repro.exec import JoinExecutor, get_plan
+from repro.exec.plans import _user_bound
+from tests.helpers import build_clustered_dataset
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
 
@@ -20,14 +18,14 @@ class TestFilterCounters:
     def test_sppj_f_candidates_split(self):
         ds = build_clustered_dataset(1, n_users=12)
         stats = PairEvalStats()
-        sppj_f(ds, STPSJoinQuery(0.05, 0.3, 0.3), stats=stats)
+        stps_join(ds, 0.05, 0.3, 0.3, algorithm="s-ppj-f", stats=stats)
         assert stats.candidates == stats.bound_pruned + stats.refinements
         assert stats.refinements > 0
 
     def test_sppj_d_candidates_split(self):
         ds = build_clustered_dataset(2, n_users=12)
         stats = PairEvalStats()
-        sppj_d(ds, STPSJoinQuery(0.05, 0.3, 0.3), stats=stats)
+        stps_join(ds, 0.05, 0.3, 0.3, algorithm="s-ppj-d", stats=stats)
         # Zero-total pairs are skipped outside both counters, so <=.
         assert stats.bound_pruned + stats.refinements <= stats.candidates
         assert stats.refinements > 0
@@ -35,8 +33,8 @@ class TestFilterCounters:
     def test_higher_threshold_prunes_more(self):
         ds = build_clustered_dataset(3, n_users=12)
         loose, strict = PairEvalStats(), PairEvalStats()
-        sppj_f(ds, STPSJoinQuery(0.05, 0.3, 0.1), stats=loose)
-        sppj_f(ds, STPSJoinQuery(0.05, 0.3, 0.9), stats=strict)
+        stps_join(ds, 0.05, 0.3, 0.1, algorithm="s-ppj-f", stats=loose)
+        stps_join(ds, 0.05, 0.3, 0.9, algorithm="s-ppj-f", stats=strict)
         assert strict.bound_pruned >= loose.bound_pruned
         assert strict.refinements <= loose.refinements
 
@@ -57,19 +55,44 @@ class TestFilterCounters:
 
 class TestTopKPSkips:
     def test_users_skipped_on_sparse_data(self):
-        """With many dissimilar users and k=1, TOPK-S-PPJ-P's Lemma 2
-        bound must dismiss at least one user outright."""
-        ds = build_random_dataset(7, n_users=25, extent=5.0)
-        stats = PairEvalStats()
-        topk_sppj_p(ds, TopKQuery(0.05, 0.6, 1), stats=stats)
-        # The bound can only fire once the heap is full; with sparse data
-        # most users after that point are skippable.
-        assert stats.users_skipped >= 0  # never negative...
-        # ...and on clustered data with an early high score it does fire:
-        ds2 = build_clustered_dataset(5, n_users=20)
-        stats2 = PairEvalStats()
-        topk_sppj_p(ds2, TopKQuery(0.02, 0.5, 1), stats=stats2)
-        assert stats2.users_skipped + stats2.candidates > 0
+        """TOPK-S-PPJ-P's Lemma 2 bound dismisses a user outright where
+        TOPK-S-PPJ-F, which has no per-user bound, skips nobody."""
+        ds = build_clustered_dataset(1, n_users=20)
+        skipped = {}
+        for algorithm in ("topk-s-ppj-p", "topk-s-ppj-f"):
+            stats = PairEvalStats()
+            got = topk_stps_join(
+                ds, 0.05, 0.3, 1, algorithm=algorithm, stats=stats
+            )
+            assert got == topk_stps_join(ds, 0.05, 0.3, 1, algorithm="naive")
+            skipped[algorithm] = stats.users_skipped
+        assert skipped["topk-s-ppj-p"] >= 1
+        assert skipped["topk-s-ppj-f"] == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_user_bound_is_admissible(self, seed):
+        """Lemma 2: for every user, the P plan's bound is at least the
+        true sigma with every user earlier in the P order."""
+        ds = build_clustered_dataset(seed, n_users=12)
+        query = TopKQuery(0.05, 0.3, 1)
+        state = get_plan("topk", "topk-s-ppj-p").build_state(ds, query)
+        order, sizes = state["order"], state["sizes"]
+        assert [sizes[u] for u in order] == sorted(sizes.values())
+        checked = 0
+        for p in range(1, len(order)):
+            user = order[p]
+            bound = _user_bound(
+                state["index"], ds, user, state["pos"], p, sizes[user],
+                sizes[order[p - 1]],
+            )
+            for earlier in order[:p]:
+                sigma = set_similarity(
+                    ds.user_objects(user), ds.user_objects(earlier),
+                    query.eps_loc, query.eps_doc,
+                )
+                assert sigma <= bound, (seed, user, earlier)
+                checked += sigma > 0.0
+        assert checked  # the bound was tested against positive scores
 
 
 class TestMerge:
@@ -87,34 +110,34 @@ class TestMerge:
         stats.merge({"cell_joins": 1, "not_a_counter": 99})
         assert stats.cell_joins == 1
 
-    def _parallel_counters_match(self, algorithm, run_sequential, backend, **kw):
-        """Per-worker counters merged by the executor must equal a
-        sequential run's — every pair's work is counted exactly once."""
+    def _parallel_counters_match(self, algorithm, backend, **kw):
+        """Per-worker counters merged by the executor must equal an
+        inline one-chunk run's — every pair's work is counted once."""
         ds = build_clustered_dataset(4, n_users=12)
         query = STPSJoinQuery(0.05, 0.3, 0.3)
         sequential = PairEvalStats()
-        run_sequential(ds, query, stats=sequential)
+        stps_join(ds, 0.05, 0.3, 0.3, algorithm=algorithm, stats=sequential)
         merged = PairEvalStats()
         executor = JoinExecutor(workers=3, backend=backend, chunk_size=2, **kw)
         executor.join(ds, query, algorithm=algorithm, stats=merged)
         assert merged.as_dict() == sequential.as_dict()
 
     def test_executor_merge_lossless_sppj_f_thread(self):
-        self._parallel_counters_match("s-ppj-f", sppj_f, "thread")
+        self._parallel_counters_match("s-ppj-f", "thread")
 
     def test_executor_merge_lossless_sppj_b_thread(self):
-        self._parallel_counters_match("s-ppj-b", sppj_b, "thread")
+        self._parallel_counters_match("s-ppj-b", "thread")
 
     @pytest.mark.skipif(not fork_available, reason="fork start method unavailable")
     def test_executor_merge_lossless_sppj_f_process(self):
         self._parallel_counters_match(
-            "s-ppj-f", sppj_f, "process", start_method="fork"
+            "s-ppj-f", "process", start_method="fork"
         )
 
     @pytest.mark.skipif(not fork_available, reason="fork start method unavailable")
     def test_executor_merge_lossless_sppj_b_process(self):
         self._parallel_counters_match(
-            "s-ppj-b", sppj_b, "process", start_method="fork"
+            "s-ppj-b", "process", start_method="fork"
         )
 
     def test_executor_without_stats_collects_nothing(self):
@@ -141,7 +164,7 @@ class TestMergeUnderRetries:
         ds = build_clustered_dataset(4, n_users=12)
         query = STPSJoinQuery(0.05, 0.3, 0.3)
         sequential = PairEvalStats()
-        sppj_b(ds, query, stats=sequential)
+        stps_join(ds, 0.05, 0.3, 0.3, algorithm="s-ppj-b", stats=sequential)
 
         policy = ExecutionPolicy(
             backoff_base=0.001, backoff_jitter=0.0, **policy_kwargs

@@ -1,6 +1,6 @@
 """Backend and start-method resolution, including the loud-fallback fix.
 
-Historically ``parallel_stps_join`` silently fell back to sequential
+Historically the process-parallel join silently fell back to sequential
 evaluation when the ``fork`` start method was unavailable — correct
 results, but a silent 1-core surprise.  The engine's contract, pinned
 here with monkeypatched ``multiprocessing.get_all_start_methods``:
@@ -22,8 +22,6 @@ import pytest
 
 import repro
 from repro import stps_join
-from repro.core.parallel import parallel_stps_join
-from repro.core.query import STPSJoinQuery
 from repro.exec import BACKENDS, BackendUnavailableError, JoinExecutor
 from tests.helpers import build_clustered_dataset
 
@@ -98,18 +96,16 @@ class TestParallelStpsJoinFallback:
     def test_fallback_is_loud_and_still_correct(self, monkeypatch):
         _patch_methods(monkeypatch, ["spawn"])
         ds = build_clustered_dataset(2, n_users=8)
-        query = STPSJoinQuery(0.05, 0.3, 0.2)
         expected = stps_join(ds, 0.05, 0.3, 0.2, algorithm="s-ppj-b")
         with pytest.warns(RuntimeWarning, match="falling back to spawn"):
-            got = parallel_stps_join(ds, query, workers=2)
+            got = stps_join(ds, 0.05, 0.3, 0.2, algorithm="s-ppj-b", workers=2)
         assert got == expected
 
     def test_explicit_start_method_never_falls_back(self, monkeypatch):
         _patch_methods(monkeypatch, ["spawn"])
         ds = build_clustered_dataset(2, n_users=4)
-        query = STPSJoinQuery(0.05, 0.3, 0.2)
         with pytest.raises(BackendUnavailableError):
-            parallel_stps_join(ds, query, workers=2, start_method="fork")
+            stps_join(ds, 0.05, 0.3, 0.2, workers=2, start_method="fork")
 
 
 class TestValidation:
