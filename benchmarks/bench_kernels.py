@@ -1,23 +1,27 @@
-"""Numpy vs Python kernel backends on the sequential join hot path.
+"""The fused and the scalar evaluation tiers on the sequential join hot path.
 
-Times S-PPJ-C and S-PPJ-B — the two algorithms whose whole partner rows
-the fused batch kernel of :mod:`repro.core.kernels` evaluates — with
-``kernel="numpy"`` against ``kernel="python"`` on the same grown
-workload ``bench_parallel_speedup.py`` uses, and verifies the two
-backends are interchangeable where it counts:
+S-PPJ-C and S-PPJ-B have two pair evaluators.  A plain ``stps_join``
+evaluates whole partner rows with the fused numpy batch kernel of
+:mod:`repro.core.kernels`; a run with work counters (``stats=`` or
+telemetry) evaluates pair by pair with the scalar
+:func:`~repro.core.pair_eval.ppj_c_pair` / :func:`~repro.core.pair_eval.ppj_b_pair`.
+This benchmark times a plain ``stps_join`` against a loop of the scalar
+evaluator over every user pair on a prebuilt grid (the grid build is
+left out of the scalar time, which only flatters the scalar side), on
+a grown 400-user workload, and checks:
 
-* the result lists must be byte-identical (user pairs *and* the float
+* the two result lists are byte-identical (user pairs *and* the float
   scores, compared via ``float.hex`` so not even a last-bit drift
   passes);
-* the deterministic work counters
-  (:meth:`repro.obs.Telemetry.work_counters`) must match exactly — the
-  vectorized filters are the same admissible filters, so both backends
-  prune the same pairs at the same stages ("zero counter drift", the
-  same invariant ``repro obs diff`` gates on).
+* the fused tier is at least 1.5x faster on both algorithms.
+
+The deterministic work counters of an instrumented S-PPJ-C run at the
+legacy size go into the payload's ``counters`` section, which
+``scripts/check_bench_regression.py`` gates exactly.
 
 The direct run writes ``BENCH_kernels.json``; CI's perf-smoke job gates
 ``results.speedup_sppj_c`` and ``results.speedup_sppj_b`` at >= 1.5 and
-the parity flags at 1.0 via ``scripts/check_bench_regression.py``.
+the identity flags at 1.0 via ``scripts/check_bench_regression.py``.
 
 Run under pytest (``pytest benchmarks/bench_kernels.py
 --benchmark-only``) for harness timings, or directly (``python
@@ -33,40 +37,66 @@ import pytest
 
 from repro import Telemetry, stps_join
 from repro.bench.reporting import write_bench_json
-from repro.core.kernels import numpy_available
+from repro.core.pair_eval import ppj_b_pair, ppj_c_pair
+from repro.core.query import UserPair, pair_sort_key
+from repro.stindex.stgrid import STGridIndex
 
 from _common import REPO_ROOT, dataset_for, thresholds_for
 
 PRESET = "twitter"
-#: The grown speedup workload (matches bench_parallel_speedup.py).
+#: The grown speedup workload (the scalar loop takes ~5 s here).
 MAIN_USERS = 400
-#: Counter-parity workload: telemetry runs use the counted scalar-shape
-#: kernels, which are slower than the fused batch tier, so parity is
-#: checked at the legacy size.
+#: Counter workload: the instrumented run takes the scalar tier, so the
+#: counters are recorded at the legacy size.
 PARITY_USERS = 150
 ALGORITHMS = ("s-ppj-c", "s-ppj-b")
 
 #: The acceptance floor CI enforces via --min-result.
 MIN_SPEEDUP = 1.5
 
-numpy_missing = not numpy_available()
-
 
 def _thresholds():
     return thresholds_for(PRESET)
 
 
+def scalar_join(dataset, index, algorithm):
+    """Every user pair through the scalar evaluator, canonically sorted."""
+    eps_loc, eps_doc, eps_user = _thresholds()
+    users = dataset.users
+    sizes = [len(dataset.user_objects(u)) for u in users]
+    out = []
+    for i in range(len(users)):
+        for j in range(i + 1, len(users)):
+            total = sizes[i] + sizes[j]
+            if not total:
+                continue
+            if algorithm == "s-ppj-c":
+                score = ppj_c_pair(
+                    index, users[i], users[j], eps_loc, eps_doc
+                ) / total
+            else:
+                score = ppj_b_pair(
+                    index, users[i], users[j], eps_loc, eps_doc, eps_user,
+                    sizes[i], sizes[j],
+                )
+            if score >= eps_user:
+                out.append(UserPair(users[i], users[j], score))
+    out.sort(key=pair_sort_key)
+    return out
+
+
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("kernel", ["python", "numpy"])
-def test_kernel_backend(run_once, algorithm, kernel):
-    if kernel == "numpy" and numpy_missing:
-        pytest.skip("numpy unavailable")
+@pytest.mark.parametrize("tier", ["scalar", "fused"])
+def test_evaluation_tier(run_once, algorithm, tier):
     dataset = dataset_for(PRESET, PARITY_USERS)
     eps_loc, eps_doc, eps_user = _thresholds()
-    result = run_once(
-        stps_join, dataset, eps_loc, eps_doc, eps_user,
-        algorithm=algorithm, kernel=kernel,
-    )
+    if tier == "fused":
+        result = run_once(
+            stps_join, dataset, eps_loc, eps_doc, eps_user, algorithm=algorithm
+        )
+    else:
+        index = STGridIndex.build(dataset, eps_loc, with_tokens=False)
+        result = run_once(scalar_join, dataset, index, algorithm)
     assert isinstance(result, list)
 
 
@@ -82,19 +112,9 @@ def _identical(a, b) -> bool:
     )
 
 
-def _work_counters(dataset, algorithm, kernel):
-    eps_loc, eps_doc, eps_user = _thresholds()
-    tele = Telemetry()
-    stps_join(
-        dataset, eps_loc, eps_doc, eps_user,
-        algorithm=algorithm, kernel=kernel, telemetry=tele,
-    )
-    return tele.work_counters()
-
-
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
-        description="numpy vs python kernel backend benchmark"
+        description="fused vs scalar S-PPJ-C/B evaluation benchmark"
     )
     parser.add_argument(
         "--users",
@@ -107,77 +127,50 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    if numpy_missing:
-        print("numpy unavailable; nothing to compare")
-        return 0
     dataset = dataset_for(PRESET, args.users)
-    parity_dataset = dataset_for(PRESET, PARITY_USERS)
     eps_loc, eps_doc, eps_user = _thresholds()
     cpus = os.cpu_count() or 1
     print(
-        f"kernel backends on {PRESET} ({args.users} users, "
+        f"evaluation tiers on {PRESET} ({args.users} users, "
         f"{dataset.num_objects} objects), {cpus} CPUs"
     )
 
     phases = {}
     results = {}
     failures = []
+    index = STGridIndex.build(dataset, eps_loc, with_tokens=False)
     for algorithm in ALGORITHMS:
-        runs = {}
-        for kernel in ("python", "numpy"):
-            start = time.perf_counter()
-            runs[kernel] = stps_join(
-                dataset, eps_loc, eps_doc, eps_user,
-                algorithm=algorithm, kernel=kernel,
-            )
-            phases[f"{algorithm.replace('-', '_')}_{kernel}"] = (
-                time.perf_counter() - start
-            )
-        key = algorithm.replace("-", "_").replace("s_ppj", "sppj")
-        python_s = phases[f"{algorithm.replace('-', '_')}_python"]
-        numpy_s = phases[f"{algorithm.replace('-', '_')}_numpy"]
-        speedup = python_s / numpy_s
+        name = algorithm.replace("-", "_")
+        key = name.replace("s_ppj", "sppj")
+        start = time.perf_counter()
+        scalar = scalar_join(dataset, index, algorithm)
+        phases[f"{name}_scalar"] = scalar_s = time.perf_counter() - start
+        start = time.perf_counter()
+        fused = stps_join(
+            dataset, eps_loc, eps_doc, eps_user, algorithm=algorithm
+        )
+        phases[f"{name}_fused"] = fused_s = time.perf_counter() - start
+        speedup = scalar_s / fused_s
         results[f"speedup_{key}"] = speedup
-        identical = _identical(runs["python"], runs["numpy"])
+        identical = _identical(fused, scalar)
         results[f"identical_{key}"] = 1.0 if identical else 0.0
         print(
-            f"  {algorithm}: python {python_s:8.3f}s  numpy {numpy_s:8.3f}s  "
+            f"  {algorithm}: scalar {scalar_s:8.3f}s  fused {fused_s:8.3f}s  "
             f"speedup {speedup:4.2f}x  results "
             f"{'identical' if identical else 'DIVERGED'}"
         )
         if not identical:
-            failures.append(f"{algorithm}: numpy results diverged from python")
+            failures.append(f"{algorithm}: fused results diverged from scalar")
         if speedup < MIN_SPEEDUP:
             failures.append(
                 f"{algorithm}: speedup {speedup:.2f}x below {MIN_SPEEDUP}x"
             )
 
-    # Counter parity: both backends must report the identical funnel —
-    # the exact invariant `repro obs diff` gates on across runs.
-    parity_counters = None
-    for algorithm in ALGORITHMS:
-        base = _work_counters(parity_dataset, algorithm, "python")
-        fresh = _work_counters(parity_dataset, algorithm, "numpy")
-        drift = sorted(
-            key for key in set(base) | set(fresh)
-            if base.get(key) != fresh.get(key)
-        )
-        key = algorithm.replace("-", "_").replace("s_ppj", "sppj")
-        results[f"counter_drift_{key}"] = float(len(drift))
-        if drift:
-            failures.append(
-                f"{algorithm}: work counters drifted between backends "
-                f"({', '.join(drift)})"
-            )
-            print(f"  {algorithm}: counter DRIFT: {drift}")
-        else:
-            print(
-                f"  {algorithm}: {len(base)} work counters identical "
-                f"across backends ({PARITY_USERS} users)"
-            )
-        if algorithm == ALGORITHMS[0]:
-            parity_counters = base
-
+    tele = Telemetry()
+    stps_join(
+        dataset_for(PRESET, PARITY_USERS), eps_loc, eps_doc, eps_user,
+        algorithm=ALGORITHMS[0], telemetry=tele,
+    )
     path = write_bench_json(
         "kernels",
         config={
@@ -189,7 +182,7 @@ def main(argv=None) -> int:
         },
         phases=phases,
         results=results,
-        counters=parity_counters,
+        counters=tele.work_counters(),
         directory=REPO_ROOT,
     )
     print(f"wrote {path}")
@@ -198,8 +191,8 @@ def main(argv=None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    print("OK: numpy kernels byte-identical, zero counter drift, "
-          f">= {MIN_SPEEDUP}x on both algorithms")
+    print(f"OK: fused tier byte-identical and >= {MIN_SPEEDUP}x on both "
+          "algorithms")
     return 0
 
 

@@ -18,14 +18,16 @@ The direct run measures three things and writes them all to
 ``BENCH_parallel_speedup.json`` at the repository root:
 
 * the parallel speedup curve on the *grown* default workload
-  (``--users 400`` — the historical 150-user preset finished in under a
-  second, dominated by pool startup), plus the 150-user sequential run
+  (``--users 800``: plain S-PPJ-B runs the fused batch tier, which
+  finishes 400 users in about 0.3 s, where pool startup dominates the
+  curve), plus the 150-user sequential run
   (phase ``join_workers_1_users_150``) that stays directly comparable to
   the ``join_workers_1`` phase of older committed baselines;
 * chunk-level load balance: ``chunk_imbalance`` is the max/median of the
   engine's per-chunk wall-clock (``report.chunk_seconds``) at the
   highest worker count — the cost-model chunking keeps it ≤ 1.5;
-* the telemetry overhead budget (see ``docs/observability.md``): an
+* the telemetry overhead budget (see ``docs/observability.md``), on
+  S-PPJ-F, whose instrumented and plain runs share one evaluator: an
   enabled :class:`repro.Telemetry` may cost at most 5% over the
   uninstrumented engine run, a disabled one at most 1%, and a full
   EXPLAIN run (enabled telemetry + report + ``build_explain``) at most
@@ -46,7 +48,6 @@ import pytest
 
 from repro import Telemetry, stps_join
 from repro.bench.reporting import write_bench_json
-from repro.core.kernels import resolve_kernel
 from repro.core.query import STPSJoinQuery
 from repro.exec import JoinExecutor
 
@@ -55,9 +56,9 @@ from _common import REPO_ROOT, dataset_for, thresholds_for
 PRESET = "twitter"
 #: Users for the pytest harness timings and the legacy-comparable phase.
 NUM_USERS = 150
-#: Users for the direct run's speedup curve — big enough that the join
-#: dominates pool startup (~2.5s sequential on one 2020s core).
-MAIN_USERS = 400
+#: Users for the direct run's speedup curve — big enough that the fused
+#: join dominates pool startup (~1.8s sequential on a 2-vCPU VM).
+MAIN_USERS = 800
 WORKER_COUNTS = (1, 2, 4)
 
 #: Ceiling on max/median per-chunk wall-clock under cost-model chunking.
@@ -105,6 +106,12 @@ MAX_TELEMETRY_OVERHEAD = 0.05
 MAX_DISABLED_OVERHEAD = 0.01
 MAX_EXPLAIN_OVERHEAD = 0.05
 TELEMETRY_ROUNDS = 5
+#: The telemetry arms time S-PPJ-F: its plain and instrumented runs take
+#: the same scalar evaluator, so the gap is instrumentation alone (plain
+#: S-PPJ-C/B take the fused batch tier, which counts nothing, so their
+#: instrumented runs would time the other tier — bench_kernels.py
+#: compares the tiers).
+TELEMETRY_ALGORITHM = "s-ppj-f"
 
 
 def _explain_run(executor, dataset, query):
@@ -112,17 +119,21 @@ def _explain_run(executor, dataset, query):
 
     tele = Telemetry()
     _pairs, report = executor.join(
-        dataset, query, algorithm="s-ppj-b", telemetry=tele, with_report=True,
-        kernel="python",
+        dataset, query, algorithm=TELEMETRY_ALGORITHM, telemetry=tele,
+        with_report=True,
     )
     build_explain(tele, report, dataset=dataset)
 
 
 def _telemetry_overhead(dataset, query):
-    """Best engine wall-clock: no telemetry, disabled, enabled, explain.
+    """Best engine CPU time: no telemetry, disabled, enabled, explain.
 
     All four run the sequential backend so the numbers isolate the
-    instrumentation cost from scheduling noise.  Rounds are interleaved
+    instrumentation cost from scheduling noise, and each is timed in
+    process CPU seconds: the run is single-threaded, so CPU time is its
+    whole cost, while wall-clock on a shared host also counts time
+    stolen by other tenants (it moved these arms by ±10% between runs on
+    a 2-vCPU VM, twice the 5% budget).  Rounds are interleaved
     (none, disabled, enabled, explain, none, ...) so slow clock drift on
     a busy host hits every configuration equally instead of whichever
     block ran last, and each configuration reports its *minimum* across
@@ -136,26 +147,21 @@ def _telemetry_overhead(dataset, query):
     the explain configuration additionally assembles the
     :class:`repro.obs.ExplainReport` after the run.
 
-    All four configurations pin ``kernel="python"`` so they time the
-    *same* evaluation path: under the auto backend an uninstrumented run
-    takes the fused numpy batch tier while an instrumented run must take
-    the counted per-cell-pair kernels (batching is incompatible with
-    per-stage attribution), and that gap is a kernel-tier difference,
-    not instrumentation overhead — ``bench_kernels.py`` measures it
-    directly.
+    All four configurations run :data:`TELEMETRY_ALGORITHM`, so they
+    time the *same* evaluation path.
     """
     executor = JoinExecutor(workers=1, backend="sequential")
     configs = {
         "none": lambda: executor.join(
-            dataset, query, algorithm="s-ppj-b", kernel="python"
+            dataset, query, algorithm=TELEMETRY_ALGORITHM
         ),
         "disabled": lambda: executor.join(
-            dataset, query, algorithm="s-ppj-b",
-            telemetry=Telemetry(enabled=False), kernel="python",
+            dataset, query, algorithm=TELEMETRY_ALGORITHM,
+            telemetry=Telemetry(enabled=False),
         ),
         "enabled": lambda: executor.join(
-            dataset, query, algorithm="s-ppj-b", telemetry=Telemetry(),
-            kernel="python",
+            dataset, query, algorithm=TELEMETRY_ALGORITHM,
+            telemetry=Telemetry(),
         ),
         "explain": lambda: _explain_run(executor, dataset, query),
     }
@@ -164,9 +170,9 @@ def _telemetry_overhead(dataset, query):
     times = {name: [] for name in configs}
     for _ in range(TELEMETRY_ROUNDS):
         for name, fn in configs.items():
-            start = time.perf_counter()
+            start = time.process_time()
             fn()
-            times[name].append(time.perf_counter() - start)
+            times[name].append(time.process_time() - start)
     return {name: min(vals) for name, vals in times.items()}
 
 
@@ -259,7 +265,10 @@ def main(argv=None) -> int:
     overhead_on = best["enabled"] / base - 1.0
     overhead_off = best["disabled"] / base - 1.0
     overhead_explain = best["explain"] / base - 1.0
-    print(f"telemetry (sequential backend, best of {TELEMETRY_ROUNDS}):")
+    print(
+        f"telemetry ({TELEMETRY_ALGORITHM}, sequential backend, best of "
+        f"{TELEMETRY_ROUNDS}):"
+    )
     print(f"  none                     : {base:8.3f}s")
     print(f"  disabled                 : {best['disabled']:8.3f}s  ({overhead_off:+.1%})")
     print(f"  enabled                  : {best['enabled']:8.3f}s  ({overhead_on:+.1%})")
@@ -283,7 +292,7 @@ def main(argv=None) -> int:
             "num_users": args.users,
             "legacy_num_users": NUM_USERS,
             "algorithm": "s-ppj-b",
-            "kernel": resolve_kernel(),
+            "telemetry_algorithm": TELEMETRY_ALGORITHM,
             "worker_counts": list(worker_counts),
             "cpus": cpus,
             "telemetry_rounds": TELEMETRY_ROUNDS,

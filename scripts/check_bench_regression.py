@@ -27,9 +27,7 @@ the fresh file's workload config drifted from the baseline's: a timing
 comparison across different workloads is noise, so the baseline must be
 refreshed in the same change that alters the workload.  The ``cpus``
 config key is exempt — the host sizing legitimately differs between a
-laptop and CI.  The ``kernel`` config key is *not* exempt: comparing a
-numpy-kernel run against a python-kernel baseline is a cross-backend
-comparison, which must be flagged as drift, not silently timed.
+laptop and CI.
 
 Payloads also carry a ``host`` section (``cpu_count`` plus a load-average
 note, written by :func:`repro.bench.reporting.host_info`).  When the

@@ -179,11 +179,11 @@ def check_metrics_prom(path: str) -> List[str]:
 # Mirrors repro.serve.audit.AUDIT_SCHEMA_VERSION / AuditRecord.as_dict()
 # and repro.obs.analytics.STATS_SCHEMA_VERSION — kept standalone so the
 # script needs no import path setup.
-AUDIT_SCHEMA_VERSION = 1
+AUDIT_SCHEMA_VERSION = 2
 STATS_SCHEMA_VERSION = 1
 AUDIT_FIELDS = {
     "schema_version", "seq", "ts", "dataset", "fingerprint", "type",
-    "algorithm", "kernel", "params", "outcome", "error", "cache",
+    "algorithm", "params", "outcome", "error", "cache",
     "run_id", "seconds", "timings", "result_count", "funnel",
     "calibration",
 }

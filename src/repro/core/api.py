@@ -167,15 +167,11 @@ def stps_join(
         validates it.  This is the prepared-dataset
         entry point the resident join server (``docs/serving.md``) is
         built on — results are byte-identical to a cold call.
-    kernel:
-        (keyword-only, via ``**kwargs``) Kernel backend selector:
-        ``"auto"`` (default; numpy when importable), ``"numpy"`` or
-        ``"python"`` — see the vectorization section of
-        ``docs/performance.md``.  Overrides the ``REPRO_KERNEL``
-        environment variable.  Results and deterministic work counters
-        are byte-identical across backends; the resolved choice is
-        recorded on the :class:`~repro.exec.ExecutionReport` and in
-        EXPLAIN artifacts.
+
+    Plain S-PPJ-C/B runs use the fused numpy batch evaluator; with
+    ``stats=`` or telemetry they run the scalar evaluators, which count
+    their work (see the evaluation tiers in ``docs/performance.md``).
+    Results are byte-identical either way.
     """
     query = STPSJoinQuery(eps_loc=eps_loc, eps_doc=eps_doc, eps_user=eps_user)
     return _execute(

@@ -1,127 +1,50 @@
-"""Vectorized numpy join kernels over the columnar CellPack layout.
+"""The fused numpy tier: one batch evaluator for plain S-PPJ-C/B.
 
-PR 4 staged the hot path columnar (:class:`~repro.stindex.stgrid.CellPack`,
-per-``(cell, user)`` prefix indexes); this module is the numpy tier built
-on top of it.  Two kinds of kernels live here, selected by
-:func:`resolve_kernel` (the ``REPRO_KERNEL`` environment switch and the
-``kernel=`` API kwarg):
+:class:`PairBatchKernel` is the **fused batch evaluator** behind plain
+(uncounted) S-PPJ-C and S-PPJ-B runs.  Profiling the bench workload
+showed the per-object-pair filters are *not* where sequential time goes:
+the average cell-pair join covers ~5 candidate object pairs, so the
+Python traversal (cell-list merges, neighbour dict probes) dominates.  A
+per-cell-pair numpy call can never win there — numpy call overhead
+exceeds the work.  Instead the kernel precomputes, once per (index, user
+order), a global *cell adjacency combo table* (every ordered pair of
+occupied cells at Chebyshev distance <= 1, exactly the cell pairs the
+PPJ-C/PPJ-B traversals enumerate) and evaluates a whole partner *range*
+per call: one slice of the combo table, one vectorized expansion into
+candidate object pairs, batched spatial/length/token filters
+cheapest-first, one sorted-array token intersection over the survivors,
+and a distinct-count reduction back to per-partner matched counts.
+Matched-set membership is evaluation-order independent (the both-matched
+skip never changes final membership, only avoids work), so the fused
+evaluation returns byte-identical scores.
 
-* :class:`PairBatchKernel` — the **fused batch evaluator** behind the
-  S-PPJ-C and S-PPJ-B fast paths.  Profiling the bench workload showed the
-  per-object-pair filters are *not* where sequential time goes: the
-  average cell-pair join covers ~5 candidate object pairs, so the Python
-  traversal (cell-list merges, neighbour dict probes) dominates.  A
-  per-cell-pair numpy call can never win there — numpy call overhead
-  exceeds the work.  Instead the kernel precomputes, once per (index,
-  user order), a global *cell adjacency combo table* (every ordered pair
-  of occupied cells at Chebyshev distance <= 1, exactly the cell pairs
-  the PPJ-C/PPJ-B traversals enumerate) and evaluates a whole partner
-  *range* per call: one slice of the combo table, one vectorized
-  expansion into candidate object pairs, batched spatial/length/token
-  filters cheapest-first, one sorted-array token intersection over the
-  survivors, and a distinct-count reduction back to per-partner matched
-  counts.  Matched-set membership is evaluation-order independent (the
-  both-matched skip never changes final membership, only avoids work), so
-  the fused evaluation returns byte-identical scores.
-
-* **Counted cell-pair kernels** (:func:`join_small_counted_numpy`,
-  :func:`probe_join_counted_numpy`) — numpy twins of the instrumented
-  kernels in :mod:`repro.core.pair_eval`, used when a metrics registry is
-  active.  They replay the scalar kernels' evaluation order *analytically*
-  (first-match positions reconstruct the both-matched skip timeline;
-  encounter ranks reconstruct the PPJOIN positional filter) so every
-  funnel counter tallies identically to the Python backend — ``repro obs
-  diff`` between the two backends shows zero work-counter drift.
+Everything else — S-PPJ-F, top-k, knn, PPJ-D, temporal, and any S-PPJ-C/B
+run with ``stats=`` or telemetry — runs the scalar tier of
+:mod:`repro.core.pair_eval`.  The tier is chosen only by whether work
+counters were requested: the fused kernel counts nothing.
 
 Admissibility note: every batched filter here (spatial, Jaccard length
-bounds, token-id-range disjointness, prefix/positional) is the same
-admissible filter the scalar kernels apply, and the exact Jaccard test is
-evaluated with the same float64 IEEE operations (``inter / (la + lb -
-inter) >= eps_doc``), so numpy and Python agree bit-for-bit on every
-match decision.
+bounds, token-id-range disjointness) is the same admissible filter the
+scalar kernels apply, and the exact Jaccard test is evaluated with the
+same float64 IEEE operations (``inter / (la + lb - inter) >= eps_doc``),
+so numpy and Python agree bit-for-bit on every match decision.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via resolve_kernel in both states
-    import numpy as np
-except ImportError:  # pragma: no cover - numpy is a declared dependency
-    np = None  # type: ignore[assignment]
+import numpy as np
 
-from ..obs import runtime as _obs
-from ..obs.funnel import flush_funnel
-
-__all__ = [
-    "KERNEL_ENV",
-    "KERNELS",
-    "numpy_available",
-    "resolve_kernel",
-    "PairBatchKernel",
-    "batch_kernel_for",
-    "join_small_counted_numpy",
-    "probe_join_counted_numpy",
-    "prefix_index_csr",
-]
-
-#: Environment variable selecting the kernel tier.
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Accepted selector values (``auto`` resolves to numpy when importable).
-KERNELS = ("auto", "numpy", "python")
+__all__ = ["resolve_kernel", "PairBatchKernel", "batch_kernel_for"]
 
 #: Guard added to float bounds so rounding can only loosen a prune
 #: (mirrors ``pair_eval._EPS`` / ``measures._EPS``).
 _EPS = 1e-9
 
-#: Memoized ``(raw_env_value, resolved_backend)`` pair — the environment
-#: is consulted on every resolve (tests flip it between runs) but the
-#: string comparison makes the common case allocation-free.
-_env_memo: Tuple[Optional[str], str] = (None, "numpy" if np is not None else "python")
 
-
-def numpy_available() -> bool:
-    """Whether the numpy tier can run at all."""
-    return np is not None
-
-
-def resolve_kernel(explicit: Optional[str] = None) -> str:
-    """Resolve the kernel backend to ``"numpy"`` or ``"python"``.
-
-    Precedence: the explicit ``kernel=`` API kwarg, then the
-    ``REPRO_KERNEL`` environment variable, then ``auto`` (numpy when
-    importable).  Asking for ``numpy`` without numpy installed raises —
-    a silent fallback there would make benchmark comparisons lie.
-    """
-    global _env_memo
-    choice = explicit
-    if choice is None:
-        raw = os.environ.get(KERNEL_ENV)
-        memo_raw, memo_resolved = _env_memo
-        if raw == memo_raw:
-            return memo_resolved
-        choice = raw if raw else "auto"
-        resolved = _resolve_choice(choice)
-        _env_memo = (raw, resolved)
-        return resolved
-    return _resolve_choice(choice)
-
-
-def _resolve_choice(choice: str) -> str:
-    if choice not in KERNELS:
-        raise ValueError(
-            f"unknown kernel backend {choice!r}; choose from {KERNELS}"
-        )
-    if choice == "python":
-        return "python"
-    if np is None:
-        if choice == "numpy":
-            raise RuntimeError(
-                "kernel backend 'numpy' requested but numpy is not importable"
-            )
-        return "python"
+def resolve_kernel() -> str:
+    """The name of the batch tier, for host/run descriptions: ``"numpy"``."""
     return "numpy"
 
 
@@ -182,8 +105,6 @@ class PairBatchKernel:
     """
 
     def __init__(self, index, users: Sequence) -> None:
-        if np is None:  # pragma: no cover - guarded by resolve_kernel
-            raise RuntimeError("PairBatchKernel requires numpy")
         self.users = tuple(users)
         self.n_users = len(self.users)
         grid = index.grid
@@ -300,7 +221,6 @@ class PairBatchKernel:
         score is below threshold, so full evaluation emits the same
         results).
         """
-        _obs.count("kernel.numpy_batches")
         out = np.zeros(j1 - j0, dtype=np.int64)
         lo = np.searchsorted(self.combo_key, fixed * self.n_users + j0)
         hi = np.searchsorted(self.combo_key, fixed * self.n_users + (j1 - 1), "right")
@@ -379,15 +299,13 @@ class PairBatchKernel:
         return pair_ids * stride + self.tok_flat[flat_pos], pair_ids
 
 
-def batch_kernel_for(index, users: Sequence) -> Optional[PairBatchKernel]:
+def batch_kernel_for(index, users: Sequence) -> PairBatchKernel:
     """The (cached) batch kernel of ``index`` for this exact user order.
 
     Cached on the index and invalidated by ``add_user`` (the incremental
     S-PPJ-F index mutates mid-join; batch evaluation only applies to
-    bulk-built indexes).  Returns ``None`` when numpy is unavailable.
+    bulk-built indexes).
     """
-    if np is None:
-        return None
     cached = getattr(index, "_batch_kernel", None)
     users = tuple(users)
     if cached is not None and cached[0] == users:
@@ -395,400 +313,3 @@ def batch_kernel_for(index, users: Sequence) -> Optional[PairBatchKernel]:
     kernel = PairBatchKernel(index, users)
     index._batch_kernel = (users, kernel)
     return kernel
-
-
-# -- counted cell-pair kernels ------------------------------------------------------
-
-
-def _pack_columns(pack):
-    """Numpy columns of a CellPack (delegates to its lazy cache)."""
-    return pack.columns()
-
-
-def _intersect_flat(cols_a, ia, cols_b, ib, stride):
-    """Intersection sizes between selected rows of two packs' columns."""
-    la = cols_a.lens[ia]
-    lb = cols_b.lens[ib]
-    n = len(ia)
-    key_a, pair_a = _gather_pack_tokens(cols_a, ia, stride)
-    key_b, _ = _gather_pack_tokens(cols_b, ib, stride)
-    if not len(key_a) or not len(key_b):
-        return np.zeros(n, dtype=np.int64)
-    pos = np.searchsorted(key_b, key_a)
-    pos_clip = np.minimum(pos, len(key_b) - 1)
-    hit = key_b[pos_clip] == key_a
-    hit &= pos < len(key_b)
-    return np.bincount(pair_a[hit], minlength=n).astype(np.int64)
-
-
-def _gather_pack_tokens(cols, obj_idx, stride):
-    lens = cols.lens[obj_idx]
-    total = int(lens.sum())
-    pair_ids = np.repeat(np.arange(len(obj_idx), dtype=np.int64), lens)
-    flat_pos = np.repeat(cols.tok_off[obj_idx], lens) + (
-        np.arange(total, dtype=np.int64) - np.repeat(_exclusive_cumsum(lens), lens)
-    )
-    return pair_ids * stride + cols.tok_flat[flat_pos], pair_ids
-
-
-def _token_stride(cols_a, cols_b):
-    hi = 0
-    if len(cols_a.tok_flat):
-        hi = max(hi, int(cols_a.tok_flat.max()))
-    if len(cols_b.tok_flat):
-        hi = max(hi, int(cols_b.tok_flat.max()))
-    return np.int64(hi + 1)
-
-
-def join_small_counted_numpy(
-    pack_a,
-    pack_b,
-    eps_sq: float,
-    eps_doc: float,
-    matched_a: set,
-    matched_b: set,
-    reg,
-) -> None:
-    """Numpy twin of ``pair_eval._join_small_counted``.
-
-    Evaluates the dense ``n_a x n_b`` pair matrix with batched filters
-    and charges every pair to the same funnel stage the scalar loop
-    would, in the scalar loop's row-major evaluation order.  The
-    both-matched skip timeline is reconstructed analytically: a pair's
-    objects count as "already matched" iff they entered the call matched
-    or their first qualifying pair precedes this one in row-major order
-    — which is exactly when the scalar loop's sets contain them, because
-    a qualifying pair always marks its objects at its own position.
-    """
-    cols_a = _pack_columns(pack_a)
-    cols_b = _pack_columns(pack_b)
-    na, nb = len(cols_a.lens), len(cols_b.lens)
-    oids_a, oids_b = pack_a.oids, pack_b.oids
-    a_init = np.fromiter(
-        (oid in matched_a for oid in oids_a), dtype=bool, count=na
-    )
-    b_init = np.fromiter(
-        (oid in matched_b for oid in oids_b), dtype=bool, count=nb
-    )
-
-    la = cols_a.lens[:, None]
-    lb = cols_b.lens[None, :]
-    row_empty = cols_a.lens == 0
-    col_empty = cols_b.lens == 0
-    dx = cols_a.xs[:, None] - cols_b.xs[None, :]
-    dy = cols_a.ys[:, None] - cols_b.ys[None, :]
-    spatial_fail = dx * dx + dy * dy > eps_sq
-    laf = la.astype(np.float64)
-    length_fail = (lb < eps_doc * laf - _EPS) | (lb > laf / eps_doc + _EPS)
-    prefix_fail = (cols_b.tok_first[None, :] > cols_a.tok_last[:, None]) | (
-        cols_a.tok_first[:, None] > cols_b.tok_last[None, :]
-    )
-
-    static_pass = (
-        ~row_empty[:, None]
-        & ~col_empty[None, :]
-        & ~spatial_fail
-        & ~length_fail
-        & ~prefix_fail
-    )
-    qualify = np.zeros((na, nb), dtype=bool)
-    si, sj = np.nonzero(static_pass)
-    if len(si):
-        stride = _token_stride(cols_a, cols_b)
-        inter = _intersect_flat(cols_a, si, cols_b, sj, stride)
-        lai = cols_a.lens[si]
-        lbj = cols_b.lens[sj]
-        qualify[si, sj] = (inter > 0) & (inter / (lai + lbj - inter) >= eps_doc)
-
-    # Row-major pair positions and first-match times per row/column.
-    t = (np.arange(na, dtype=np.int64)[:, None] * nb) + np.arange(nb, dtype=np.int64)
-    big = np.int64(na) * nb + 1
-    tq = np.where(qualify, t, big)
-    fa = tq.min(axis=1)
-    fb = tq.min(axis=0)
-    a_before = a_init[:, None] | (fa[:, None] < t)
-    b_before = b_init[None, :] | (fb[None, :] < t)
-    skip = a_before & b_before
-
-    live_rows = ~row_empty[:, None]
-    n_skip = int((live_rows & skip).sum())
-    rest = live_rows & ~skip
-    n_empty = int(row_empty.sum()) * nb + int((rest & col_empty[None, :]).sum())
-    rest &= ~col_empty[None, :]
-    n_spatial = int((rest & spatial_fail).sum())
-    rest &= ~spatial_fail
-    n_length = int((rest & length_fail).sum())
-    rest &= ~length_fail
-    n_prefix = int((rest & prefix_fail).sum())
-    verified = rest & ~prefix_fail
-    n_verified = int(verified.sum())
-    matched_pairs = verified & qualify
-    n_matched = int(matched_pairs.sum())
-
-    row_match = qualify.any(axis=1)
-    col_match = qualify.any(axis=0)
-    for i in np.nonzero(row_match)[0]:
-        matched_a.add(oids_a[i])
-    for j in np.nonzero(col_match)[0]:
-        matched_b.add(oids_b[j])
-
-    flush_funnel(
-        reg,
-        na * nb,
-        skip=n_skip,
-        empty=n_empty,
-        spatial=n_spatial,
-        length=n_length,
-        prefix=n_prefix,
-        verified=n_verified,
-        matched=n_matched,
-        cell_pairs=1,
-    )
-    _obs.count("kernel.numpy_batches")
-
-
-def prefix_index_csr(index_map: Dict[int, List[Tuple[int, int]]]):
-    """CSR form of a PPJOIN prefix index (token-sorted posting arrays).
-
-    Posting order within a token is preserved exactly — the scalar probe
-    loop iterates the dict's lists in insertion order, and the skip/
-    positional accounting depends on that encounter order.
-    """
-    tokens = np.fromiter(index_map.keys(), dtype=np.int64, count=len(index_map))
-    order = np.argsort(tokens, kind="stable")
-    tokens = tokens[order]
-    counts = np.empty(len(tokens), dtype=np.int64)
-    ys: List[int] = []
-    poss: List[int] = []
-    token_list = list(index_map.keys())
-    for slot, oidx in enumerate(order):
-        postings = index_map[token_list[oidx]]
-        counts[slot] = len(postings)
-        for y_idx, pos_y in postings:
-            ys.append(y_idx)
-            poss.append(pos_y)
-    start = _exclusive_cumsum(counts)
-    return (
-        tokens,
-        start,
-        counts,
-        np.asarray(ys, dtype=np.int64),
-        np.asarray(poss, dtype=np.int64),
-    )
-
-
-def _ceil_i64(values):
-    return np.ceil(values).astype(np.int64)
-
-
-def probe_join_counted_numpy(
-    pack_a,
-    pack_b,
-    csr,
-    index_is_b: bool,
-    eps_sq: float,
-    eps_doc: float,
-    matched_a: set,
-    matched_b: set,
-    reg,
-) -> None:
-    """Numpy twin of ``pair_eval._probe_join`` (with funnel accounting).
-
-    Candidate generation replays the scalar probe loop analytically:
-
-    * every (probe record, prefix position) pair expands through the CSR
-      posting lists into an *encounter stream* in exactly the scalar
-      iteration order (record asc, prefix position asc, posting order);
-    * a candidate is length-pruned iff the indexed record's size fails
-      the Jaccard bounds (decided at its first encounter in the scalar
-      loop — the size never changes);
-    * it is positionally pruned iff any encounter rank ``k`` satisfies
-      ``k + min(remaining_x, remaining_y) < alpha`` — the scalar
-      accumulator equals the encounter rank right up to the first
-      violation, so existence under true ranks is equivalent;
-    * survivors verify in first-encounter order per record (dict
-      insertion order), with the both-matched skip timeline
-      reconstructed from first qualifying positions as in the dense
-      kernel.
-    """
-    if index_is_b:
-        probe_pack, index_pack = pack_a, pack_b
-    else:
-        probe_pack, index_pack = pack_b, pack_a
-    cols_p = _pack_columns(probe_pack)
-    cols_i = _pack_columns(index_pack)
-    tokens, start, counts, post_y, post_pos = csr
-    n_probe = len(cols_p.lens)
-    n_idx = len(cols_i.lens)
-    n_idx_empty = int((cols_i.lens == 0).sum())
-    n_idx_filled = n_idx - n_idx_empty
-
-    lx = cols_p.lens
-    live = lx > 0
-    n_empty = int((~live).sum()) * n_idx + int(live.sum()) * n_idx_empty
-
-    # Probing prefix lengths (measures.JaccardMeasure, vectorized with
-    # the same eps slack and ceil arithmetic).
-    lxf = lx.astype(np.float64)
-    lo = np.maximum(1, _ceil_i64(eps_doc * lxf - _EPS))
-    alpha_probe = np.maximum(
-        1, _ceil_i64(eps_doc / (1.0 + eps_doc) * (lxf + lo) - _EPS)
-    )
-    plen = np.where(live, np.maximum(1, lx - alpha_probe + 1), 0)
-
-    # Flatten every probing prefix token with its record and position.
-    total_prefix = int(plen.sum())
-    rec = np.repeat(np.arange(n_probe, dtype=np.int64), plen)
-    pos_x = np.arange(total_prefix, dtype=np.int64) - np.repeat(
-        _exclusive_cumsum(plen), plen
-    )
-    tok = cols_p.tok_flat[cols_p.tok_off[rec] + pos_x]
-
-    # CSR lookup + expansion into the encounter stream.
-    if len(tokens):
-        slot = np.searchsorted(tokens, tok)
-        slot_clip = np.minimum(slot, len(tokens) - 1)
-        found = tokens[slot_clip] == tok
-        found &= slot < len(tokens)
-    else:
-        slot_clip = np.zeros(len(tok), dtype=np.int64)
-        found = np.zeros(len(tok), dtype=bool)
-    rec_f = rec[found]
-    pos_f = pos_x[found]
-    slot_f = slot_clip[found]
-    cnt = counts[slot_f]
-    n_enc = int(cnt.sum())
-    if n_enc:
-        enc_src = np.repeat(np.arange(len(rec_f), dtype=np.int64), cnt)
-        enc_ptr = np.repeat(start[slot_f], cnt) + (
-            np.arange(n_enc, dtype=np.int64) - np.repeat(_exclusive_cumsum(cnt), cnt)
-        )
-        enc_x = rec_f[enc_src]
-        enc_posx = pos_f[enc_src]
-        enc_y = post_y[enc_ptr]
-        enc_posy = post_pos[enc_ptr]
-    else:
-        enc_x = enc_y = enc_posx = enc_posy = np.empty(0, dtype=np.int64)
-
-    n_skip = n_spatial = n_length = n_positional = 0
-    n_prefix = n_verified = n_matches = 0
-    if n_enc:
-        # Group encounters by (record, candidate); a stable sort keeps
-        # the scalar encounter order inside each group.
-        key = enc_x * n_idx + enc_y
-        order = np.argsort(key, kind="stable")
-        key_s = key[order]
-        group_first = np.empty(len(key_s), dtype=bool)
-        group_first[0] = True
-        np.not_equal(key_s[1:], key_s[:-1], out=group_first[1:])
-        group_ids = np.cumsum(group_first) - 1
-        n_groups = int(group_ids[-1]) + 1
-        first_pos = order[group_first]  # first-encounter stream position
-        g_x = enc_x[first_pos]
-        g_y = enc_y[first_pos]
-
-        ly = cols_i.lens[g_y]
-        lyf = ly.astype(np.float64)
-        gxf = lx[g_x].astype(np.float64)
-        len_fail = (lyf < eps_doc * gxf - _EPS) | (lyf > gxf / eps_doc + _EPS)
-
-        # Positional filter over encounter ranks within each group.
-        rank = np.arange(len(key_s), dtype=np.int64) - np.repeat(
-            np.nonzero(group_first)[0], np.bincount(group_ids)
-        )
-        ex = enc_x[order]
-        ey = enc_y[order]
-        alpha = np.maximum(
-            1,
-            _ceil_i64(
-                eps_doc
-                / (1.0 + eps_doc)
-                * (lx[ex] + cols_i.lens[ey]).astype(np.float64)
-                - _EPS
-            ),
-        )
-        slack = np.minimum(
-            lx[ex] - enc_posx[order] - 1, cols_i.lens[ey] - enc_posy[order] - 1
-        )
-        violate = (rank + 1) + slack < alpha
-        pos_fail = np.bincount(group_ids, weights=violate, minlength=n_groups) > 0
-
-        n_length = int(len_fail.sum())
-        pos_fail &= ~len_fail
-        n_positional = int(pos_fail.sum())
-        per_rec_cands = np.bincount(g_x, minlength=n_probe)
-        n_prefix = int((n_idx_filled - per_rec_cands)[live].sum())
-
-        surv = ~len_fail & ~pos_fail
-        s_x = g_x[surv]
-        s_y = g_y[surv]
-        s_first = first_pos[surv]
-        vo = np.argsort(s_first, kind="stable")  # verification order
-        s_x, s_y = s_x[vo], s_y[vo]
-
-        if index_is_b:
-            s_ai, s_bi = s_x, s_y
-            cols_sa, cols_sb = cols_p, cols_i
-        else:
-            s_ai, s_bi = s_y, s_x
-            cols_sa, cols_sb = cols_i, cols_p
-        oids_a, oids_b = pack_a.oids, pack_b.oids
-        a_init = np.fromiter(
-            (oids_a[i] in matched_a for i in s_ai), dtype=bool, count=len(s_ai)
-        )
-        b_init = np.fromiter(
-            (oids_b[j] in matched_b for j in s_bi), dtype=bool, count=len(s_bi)
-        )
-        dxs = cols_sa.xs[s_ai] - cols_sb.xs[s_bi]
-        dys = cols_sa.ys[s_ai] - cols_sb.ys[s_bi]
-        spatial_fail = dxs * dxs + dys * dys > eps_sq
-        stride = _token_stride(cols_sa, cols_sb)
-        inter = _intersect_flat(cols_sa, s_ai, cols_sb, s_bi, stride)
-        las = cols_sa.lens[s_ai]
-        lbs = cols_sb.lens[s_bi]
-        qualify = ~spatial_fail & (inter > 0)
-        denom = las + lbs - inter
-        with np.errstate(invalid="ignore", divide="ignore"):
-            qualify &= np.where(denom > 0, inter / np.maximum(denom, 1), 1.0) >= eps_doc
-
-        # Skip timeline: first qualifying position per object (objects
-        # are unique per pack row, so positions index the verification
-        # stream directly).
-        t = np.arange(len(s_ai), dtype=np.int64)
-        big = np.int64(len(s_ai)) + 1
-        tq = np.where(qualify, t, big)
-        fa = np.full(len(cols_sa.lens), big, dtype=np.int64)
-        np.minimum.at(fa, s_ai, tq)
-        fb = np.full(len(cols_sb.lens), big, dtype=np.int64)
-        np.minimum.at(fb, s_bi, tq)
-        skip = (a_init | (fa[s_ai] < t)) & (b_init | (fb[s_bi] < t))
-
-        n_skip = int(skip.sum())
-        rest = ~skip
-        n_spatial = int((rest & spatial_fail).sum())
-        rest &= ~spatial_fail
-        n_verified = int(rest.sum())
-        match_mask = rest & qualify
-        n_matches = int(match_mask.sum())
-
-        for i in np.unique(s_ai[qualify]):
-            matched_a.add(oids_a[i])
-        for j in np.unique(s_bi[qualify]):
-            matched_b.add(oids_b[j])
-    else:
-        n_prefix = n_idx_filled * int(live.sum())
-
-    flush_funnel(
-        reg,
-        n_probe * n_idx,
-        skip=n_skip,
-        empty=n_empty,
-        spatial=n_spatial,
-        length=n_length,
-        prefix=n_prefix,
-        positional=n_positional,
-        verified=n_verified,
-        matched=n_matches,
-        cell_pairs=1,
-    )
-    _obs.count("kernel.numpy_batches")

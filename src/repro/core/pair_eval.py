@@ -34,7 +34,6 @@ from ..spatial.grid import (
 from ..stindex.stgrid import CellPack, STGridIndex
 from ..textual.measures import JACCARD
 from ..textual.ppjoin import build_prefix_index
-from . import kernels as _kernels
 from .model import STObject, UserId
 
 __all__ = ["join_object_lists", "ppj_c_pair", "ppj_b_pair", "PairEvalStats"]
@@ -51,10 +50,10 @@ class PairEvalStats:
     """Mutable counters exposing how much work an algorithm did.
 
     The experiments reason about pruning effectiveness; these counters
-    make that observable without affecting results:
+    make that observable without affecting results (the pair-level work —
+    cell pairs joined, object pairs covered — is the ``funnel.*`` family
+    of :mod:`repro.obs.funnel`):
 
-    * ``cell_joins`` / ``object_pairs`` — partition-level joins executed
-      and candidate object pairs they covered;
     * ``early_terminations`` — PPJ-B / PPJ-D evaluations aborted by the
       Lemma 1 bound;
     * ``candidates`` — user pairs surfaced by a filter phase (S-PPJ-F,
@@ -67,8 +66,6 @@ class PairEvalStats:
     """
 
     __slots__ = (
-        "cell_joins",
-        "object_pairs",
         "early_terminations",
         "candidates",
         "bound_pruned",
@@ -77,8 +74,6 @@ class PairEvalStats:
     )
 
     def __init__(self) -> None:
-        self.cell_joins = 0
-        self.object_pairs = 0
         self.early_terminations = 0
         self.candidates = 0
         self.bound_pruned = 0
@@ -121,7 +116,6 @@ def _join_small(
     matched_a: Set[int],
     matched_b: Set[int],
     predicate: Optional[Callable[[STObject, STObject], bool]],
-    kernel: Optional[str] = None,
 ) -> None:
     """Nested-loop kernel for tiny cell contents.
 
@@ -132,81 +126,11 @@ def _join_small(
     provably fails the exact test — so matches are identical to the
     unfiltered loop.
 
-    With an active registry a counted twin runs instead — the numpy one
-    when the resolved ``kernel`` backend is numpy (same funnel tallies,
-    batched evaluation), otherwise the scalar one below; without a
-    registry this loop is byte-for-byte the uninstrumented kernel.
-    """
-    reg = _obs.active()
-    if reg is not None:
-        if predicate is None and _kernels.resolve_kernel(kernel) == "numpy":
-            _kernels.join_small_counted_numpy(
-                pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, reg
-            )
-            return
-        _join_small_counted(
-            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b,
-            predicate, reg,
-        )
-        return
-    oids_a, xs_a, ys_a = pack_a.oids, pack_a.xs, pack_a.ys
-    docs_a, sets_a, objs_a = pack_a.docs, pack_a.doc_sets, pack_a.objs
-    oids_b, xs_b, ys_b = pack_b.oids, pack_b.xs, pack_b.ys
-    docs_b, sets_b, objs_b = pack_b.docs, pack_b.doc_sets, pack_b.objs
-    lens_b = pack_b.lens
-    for i in range(len(oids_a)):
-        da = docs_a[i]
-        la = len(da)
-        if la == 0:
-            continue
-        sa = sets_a[i]
-        ax, ay = xs_a[i], ys_a[i]
-        a_first, a_last = da[0], da[-1]
-        min_len = eps_doc * la - _EPS
-        max_len = la / eps_doc + _EPS
-        a_matched = oids_a[i] in matched_a
-        for j in range(len(oids_b)):
-            if a_matched and oids_b[j] in matched_b:
-                continue
-            lb = lens_b[j]
-            if lb == 0:
-                continue
-            dx = ax - xs_b[j]
-            dy = ay - ys_b[j]
-            if dx * dx + dy * dy > eps_sq:
-                continue
-            if lb < min_len or lb > max_len:
-                continue
-            db = docs_b[j]
-            if db[0] > a_last or a_first > db[-1]:
-                continue
-            if predicate is not None and not predicate(objs_a[i], objs_b[j]):
-                continue
-            sb = sets_b[j]
-            inter = len(sa & sb)
-            if inter and inter / (la + lb - inter) >= eps_doc:
-                matched_a.add(oids_a[i])
-                matched_b.add(oids_b[j])
-                a_matched = True
-
-
-def _join_small_counted(
-    pack_a: CellPack,
-    pack_b: CellPack,
-    eps_sq: float,
-    eps_doc: float,
-    matched_a: Set[int],
-    matched_b: Set[int],
-    predicate: Optional[Callable[[STObject, STObject], bool]],
-    reg,
-) -> None:
-    """:func:`_join_small` with per-stage funnel tallies.
-
-    Identical filter order and matches; each of the ``n_a * n_b`` pairs
-    is charged to the first filter that dismissed it (the token-id-range
-    disjointness test counts as ``prefix`` — it proves no shared token,
-    which is what the prefix filter establishes in the indexed kernel).
-    Tallies live in locals and flush once at the end.
+    Each of the ``n_a * n_b`` pairs is charged to the first filter that
+    dismissed it (the token-id-range disjointness test counts as
+    ``prefix`` — it proves no shared token, which is what the prefix
+    filter establishes in the indexed kernel).  Tallies live in locals
+    and are flushed once at the end, only when a registry is active.
     """
     oids_a, xs_a, ys_a = pack_a.oids, pack_a.xs, pack_a.ys
     docs_a, sets_a, objs_a = pack_a.docs, pack_a.doc_sets, pack_a.objs
@@ -259,19 +183,21 @@ def _join_small_counted(
                 matched_b.add(oids_b[j])
                 a_matched = True
                 n_matched += 1
-    flush_funnel(
-        reg,
-        len(oids_a) * n_b,
-        skip=n_skip,
-        empty=n_empty,
-        spatial=n_spatial,
-        length=n_length,
-        prefix=n_prefix,
-        predicate=n_predicate,
-        verified=n_verified,
-        matched=n_matched,
-        cell_pairs=1,
-    )
+    reg = _obs.active()
+    if reg is not None:
+        flush_funnel(
+            reg,
+            len(oids_a) * n_b,
+            skip=n_skip,
+            empty=n_empty,
+            spatial=n_spatial,
+            length=n_length,
+            prefix=n_prefix,
+            predicate=n_predicate,
+            verified=n_verified,
+            matched=n_matched,
+            cell_pairs=1,
+        )
 
 
 def _probe_join(
@@ -422,46 +348,25 @@ def _join_cell_packs(
     eps_doc: float,
     matched_a: Set[int],
     matched_b: Set[int],
-    stats: Optional[PairEvalStats],
     predicate: Optional[Callable[[STObject, STObject], bool]],
-    kernel: Optional[str] = None,
 ) -> None:
     """Join two cached cell packs, reusing the index's prefix indexes.
 
     The larger side is indexed (more reuse per probe) through the
     per-``(cell, user)`` cache, so repeated joins of the same cell list
     against different partner users never rebuild PPJOIN structures.
-    With a metrics registry active and the numpy backend resolved, the
-    counted numpy twins evaluate the pair instead (identical matches and
-    funnel tallies, batched arithmetic).
     """
-    na, nb = len(pack_a.oids), len(pack_b.oids)
-    if stats is not None:
-        stats.cell_joins += 1
-        stats.object_pairs += na * nb
-    if na * nb <= _SMALL_JOIN_LIMIT:
+    if len(pack_a.oids) * len(pack_b.oids) <= _SMALL_JOIN_LIMIT:
         _join_small(
-            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate,
-            kernel,
+            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate
         )
         return
-    if nb >= na:
-        cell_i, user_i, index_is_b = cell_b, user_b, True
+    if len(pack_b.oids) >= len(pack_a.oids):
+        index_map = index.cell_prefix_index(cell_b, user_b, eps_doc)
+        index_is_b = True
     else:
-        cell_i, user_i, index_is_b = cell_a, user_a, False
-    reg = _obs.active()
-    if (
-        reg is not None
-        and predicate is None
-        and _kernels.resolve_kernel(kernel) == "numpy"
-    ):
-        csr = index.cell_prefix_csr(cell_i, user_i, eps_doc)
-        _kernels.probe_join_counted_numpy(
-            pack_a, pack_b, csr, index_is_b, eps_sq, eps_doc,
-            matched_a, matched_b, reg,
-        )
-        return
-    index_map = index.cell_prefix_index(cell_i, user_i, eps_doc)
+        index_map = index.cell_prefix_index(cell_a, user_a, eps_doc)
+        index_is_b = False
     _probe_join(
         pack_a, pack_b, index_map, index_is_b, eps_sq, eps_doc,
         matched_a, matched_b, predicate,
@@ -475,9 +380,7 @@ def join_object_lists(
     eps_doc: float,
     matched_a: Set[int],
     matched_b: Set[int],
-    stats: Optional[PairEvalStats] = None,
     predicate: Optional[Callable[[STObject, STObject], bool]] = None,
-    kernel: Optional[str] = None,
 ) -> None:
     """PPJ between two object lists; matched oids are added to the sets.
 
@@ -495,17 +398,13 @@ def join_object_lists(
     """
     if not objs_a or not objs_b:
         return
-    if stats is not None:
-        stats.cell_joins += 1
-        stats.object_pairs += len(objs_a) * len(objs_b)
     eps_sq = eps_loc * eps_loc
     pack_a = CellPack(objs_a)
     pack_b = CellPack(objs_b)
 
     if len(objs_a) * len(objs_b) <= _SMALL_JOIN_LIMIT:
         _join_small(
-            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate,
-            kernel,
+            pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate
         )
         return
 
@@ -515,19 +414,6 @@ def join_object_lists(
     else:
         index_map = build_prefix_index(pack_a.docs, eps_doc)
         index_is_b = False
-    reg = _obs.active()
-    if (
-        reg is not None
-        and predicate is None
-        and _kernels.resolve_kernel(kernel) == "numpy"
-    ):
-        # List-based callers (PPJ-D clips per leaf area) have no index
-        # cache to lean on; the CSR is built inline for this call.
-        _kernels.probe_join_counted_numpy(
-            pack_a, pack_b, _kernels.prefix_index_csr(index_map), index_is_b,
-            eps_sq, eps_doc, matched_a, matched_b, reg,
-        )
-        return
     _probe_join(
         pack_a, pack_b, index_map, index_is_b, eps_sq, eps_doc,
         matched_a, matched_b, predicate,
@@ -577,9 +463,7 @@ def ppj_c_pair(
     user_b: UserId,
     eps_loc: float,
     eps_doc: float,
-    stats: Optional[PairEvalStats] = None,
     predicate: Optional[Callable[[STObject, STObject], bool]] = None,
-    kernel: Optional[str] = None,
 ) -> int:
     """Exact matched-object count via the PPJ-C traversal (no pruning).
 
@@ -599,7 +483,7 @@ def ppj_c_pair(
         if a_here is not None and b_here is not None:
             _join_cell_packs(
                 index, cell, user_a, a_here, cell, user_b, b_here,
-                eps_sq, eps_doc, matched_a, matched_b, stats, predicate, kernel,
+                eps_sq, eps_doc, matched_a, matched_b, predicate,
             )
         col, row = cell
         for dc, dr in _LOWER_ID_OFFSETS:
@@ -610,16 +494,14 @@ def ppj_c_pair(
                 if b_other is not None:
                     _join_cell_packs(
                         index, cell, user_a, a_here, other, user_b, b_other,
-                        eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        eps_sq, eps_doc, matched_a, matched_b, predicate,
                     )
             if b_here is not None:
                 a_other = get_a(other)
                 if a_other is not None:
                     _join_cell_packs(
                         index, other, user_a, a_other, cell, user_b, b_here,
-                        eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        eps_sq, eps_doc, matched_a, matched_b, predicate,
                     )
     return len(matched_a) + len(matched_b)
 
@@ -635,7 +517,6 @@ def ppj_b_pair(
     size_b: int,
     stats: Optional[PairEvalStats] = None,
     predicate: Optional[Callable[[STObject, STObject], bool]] = None,
-    kernel: Optional[str] = None,
 ) -> float:
     """PPJ-B: exact ``sigma`` or ``0.0`` once Lemma 1 proves it < eps_user.
 
@@ -692,7 +573,7 @@ def ppj_b_pair(
         if a_here is not None and b_here is not None:
             _join_cell_packs(
                 index, cell, user_a, a_here, cell, user_b, b_here,
-                eps_sq, eps_doc, matched_a, matched_b, stats, predicate, kernel,
+                eps_sq, eps_doc, matched_a, matched_b, predicate,
             )
         # Snake partners (Figure 2b): paper-odd rows (0-based even) join
         # with every neighbour except the right cell, paper-even rows
@@ -705,16 +586,14 @@ def ppj_b_pair(
                 if b_other is not None:
                     _join_cell_packs(
                         index, cell, user_a, a_here, other, user_b, b_other,
-                        eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        eps_sq, eps_doc, matched_a, matched_b, predicate,
                     )
             if b_here is not None:
                 a_other = get_a(other)
                 if a_other is not None:
                     _join_cell_packs(
                         index, other, user_a, a_other, cell, user_b, b_here,
-                        eps_sq, eps_doc, matched_a, matched_b, stats,
-                        predicate, kernel,
+                        eps_sq, eps_doc, matched_a, matched_b, predicate,
                     )
 
     sigma = (len(matched_a) + len(matched_b)) / total

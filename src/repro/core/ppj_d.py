@@ -40,7 +40,6 @@ def ppj_d_pair(
     size_a: int,
     size_b: int,
     stats: Optional[PairEvalStats] = None,
-    kernel: Optional[str] = None,
 ) -> float:
     """Exact ``sigma`` of a user pair, or ``0.0`` once it provably misses
     ``eps_user``."""
@@ -81,8 +80,6 @@ def ppj_d_pair(
                         eps_doc,
                         matched_a,
                         matched_b,
-                        stats,
-                        kernel=kernel,
                     )
             decided += len(objs_a)
 
@@ -100,8 +97,6 @@ def ppj_d_pair(
                         eps_doc,
                         matched_a,
                         matched_b,
-                        stats,
-                        kernel=kernel,
                     )
             decided += len(objs_b)
 

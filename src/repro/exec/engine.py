@@ -91,7 +91,6 @@ import time
 import warnings
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from ..core import kernels as _kernels
 from ..core.model import STDataset
 from ..core.pair_eval import PairEvalStats
 from ..core.query import STPSJoinQuery, TopKQuery, UserPair, pair_sort_key
@@ -460,7 +459,6 @@ class JoinExecutor:
             backend=self.backend,
             start_method=self.start_method,
             algorithm=f"{plan.kind}:{plan.name}",
-            kernel=_kernels.resolve_kernel(kwargs.get("kernel")),
         )
         # Hashing the whole dataset costs as much as a small join, so only
         # runs whose report is read (or traced) pay for it.
@@ -641,8 +639,10 @@ class JoinExecutor:
                 idx = 0
                 for chunk in chunks:
                     started = time.perf_counter()
-                    results.extend(plan.run_chunk(state, chunk, stats))
+                    pairs = plan.run_chunk(state, chunk, stats)
                     report.chunk_seconds[idx] = time.perf_counter() - started
+                    plan.accept(state, pairs)
+                    results.extend(pairs)
                     report.chunk_attempts[idx] = 1
                     idx += 1
                 report.chunks_total = report.chunks_completed = idx
@@ -655,6 +655,7 @@ class JoinExecutor:
                 pairs, counters, metrics, seconds = _execute_chunk(
                     plan, state, chunk, idx, 0, True, True
                 )
+                plan.accept(state, pairs)
                 results.extend(pairs)
                 if stats is not None and counters is not None:
                     stats.merge(counters)
@@ -693,6 +694,7 @@ class JoinExecutor:
         results: List[UserPair] = []
 
         def accept(idx, attempts, pairs, counters, metrics, seconds) -> None:
+            plan.accept(state, pairs)
             results.extend(pairs)
             if stats is not None and counters is not None:
                 stats.merge(counters)

@@ -32,6 +32,17 @@ the same plan's chunks across a pool.
   best pair, hence below the global k-th best, so merging the per-chunk
   heaps and re-selecting canonically yields exactly the one-chunk top-k
   (ties broken by :func:`repro.core.query.pair_sort_key` everywhere).
+  When the engine runs chunks one after another in the caller (a run
+  under a deadline keeps several chunks as checkpoints), it hands every
+  accepted chunk's pairs back through :meth:`Plan.accept`; the grid and
+  leaf top-k plans then prune against the k-th best score accepted so
+  far whenever it beats the chunk's own heap.
+
+S-PPJ-C and S-PPJ-B have two evaluators: the fused numpy batch kernel
+(:mod:`repro.core.kernels`) for plain runs, and the scalar cell-by-cell
+evaluators of :mod:`repro.core.pair_eval` when work counters are asked
+for (``stats=`` or an active metrics registry).  Every other plan always
+runs the scalar evaluators.
 
 Worker *state* objects are built either in the parent (sequential /
 thread backends, and the ``fork`` start method where children inherit
@@ -47,7 +58,7 @@ import heapq
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from ..core import kernels as _kernels
+from ..core.kernels import batch_kernel_for
 from ..core.model import STDataset, UserId
 from ..obs import runtime as _obs
 from ..core.pair_eval import PairEvalStats, ppj_b_pair, ppj_c_pair
@@ -152,6 +163,11 @@ class Plan:
         self, state, chunk: Sequence, stats: Optional[PairEvalStats]
     ) -> List[UserPair]:
         raise NotImplementedError
+
+    def accept(self, state, pairs: Sequence[UserPair]) -> None:
+        """Take an accepted chunk's result, on runs whose chunks execute
+        one after another in the caller (so the state is not shared with a
+        concurrently running chunk).  The base plan ignores it."""
 
 
 def _check_grid_index(
@@ -291,7 +307,10 @@ def _balanced_user_shards(sizes: List[int], workers: int) -> List[range]:
     unordered pair is charged to its later member, mirroring the shard
     plans' rank filter).  The cumulative cost curve is cut at equal-cost
     boundaries into ``~4× workers`` contiguous ranges, returned heaviest
-    first.
+    first so dynamic scheduling fills the tail with light ones.  One
+    worker has no tail to fill: its ranges stay in position order, so a
+    top-k run that carries its threshold from chunk to chunk
+    (:meth:`Plan.accept`) sees the users in its algorithm's order.
     """
     n = len(sizes)
     costs = []
@@ -313,7 +332,8 @@ def _balanced_user_shards(sizes: List[int], workers: int) -> List[range]:
             acc = 0.0
     if start < n:
         shards.append((acc, range(start, n)))
-    shards.sort(key=lambda e: (-e[0], e[1].start))
+    if workers > 1:
+        shards.sort(key=lambda e: (-e[0], e[1].start))
     return [shard for _, shard in shards]
 
 
@@ -388,7 +408,7 @@ def _size_order(dataset: STDataset) -> List[UserId]:
     return sorted(dataset.users, key=lambda u: len(dataset.user_objects(u)))
 
 
-def _shard_state(dataset: STDataset, query, index, order, kernel, **extra):
+def _shard_state(dataset: STDataset, query, index, order, **extra):
     """The state every user-shard plan runs on."""
     return {
         "dataset": dataset,
@@ -398,7 +418,6 @@ def _shard_state(dataset: STDataset, query, index, order, kernel, **extra):
         "pos": {u: p for p, u in enumerate(order)},
         "rank": {u: i for i, u in enumerate(dataset.users)},
         "sizes": {u: len(dataset.user_objects(u)) for u in dataset.users},
-        "kernel": _kernels.resolve_kernel(kernel),
         **extra,
     }
 
@@ -428,15 +447,7 @@ class NaiveJoinPlan(_PairwisePlan):
 
     name = "naive"
 
-    def build_state(
-        self,
-        dataset: STDataset,
-        query: STPSJoinQuery,
-        kernel: Optional[str] = None,
-    ):
-        # The oracle has no grid kernels; `kernel` is accepted (and
-        # resolved, for the report) so the kwarg is uniform across plans.
-        _kernels.resolve_kernel(kernel)
+    def build_state(self, dataset: STDataset, query: STPSJoinQuery):
         users = list(dataset.users)
         return {
             "users": users,
@@ -470,7 +481,6 @@ class SPPJCPlan(_PairwisePlan):
         dataset: STDataset,
         query: STPSJoinQuery,
         index: Optional[STGridIndex] = None,
-        kernel: Optional[str] = None,
     ):
         if index is None:
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=False)
@@ -482,22 +492,21 @@ class SPPJCPlan(_PairwisePlan):
             "sizes": [len(dataset.user_objects(u)) for u in users],
             "index": index,
             "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
         }
 
     def warm(self, state, with_stats: bool, with_metrics: bool) -> None:
-        if state["kernel"] == "numpy" and not with_stats and not with_metrics:
-            _kernels.batch_kernel_for(state["index"], state["users"])
+        if not with_stats and not with_metrics:
+            batch_kernel_for(state["index"], state["users"])
 
     def run_chunk(self, state, chunk, stats):
         users, sizes = state["users"], state["sizes"]
         index, query = state["index"], state["query"]
         out: List[UserPair] = []
         batch = None
-        if state["kernel"] == "numpy" and stats is None and _obs.active() is None:
+        if stats is None and _obs.active() is None:
             # Fused numpy tier: whole (i, j0, j1) partner ranges per call
             # (cached on the index, so warm serve indexes amortize it).
-            batch = _kernels.batch_kernel_for(index, users)
+            batch = batch_kernel_for(index, users)
         eps_sq = query.eps_loc * query.eps_loc
         for i, j0, j1 in chunk:
             if batch is not None:
@@ -512,8 +521,7 @@ class SPPJCPlan(_PairwisePlan):
                 continue
             for j in range(j0, j1):
                 matched = ppj_c_pair(
-                    index, users[i], users[j], query.eps_loc, query.eps_doc, stats,
-                    kernel=state["kernel"],
+                    index, users[i], users[j], query.eps_loc, query.eps_doc
                 )
                 total = sizes[i] + sizes[j]
                 if total == 0:
@@ -536,7 +544,6 @@ class SPPJBPlan(_PairwisePlan):
         dataset: STDataset,
         query: STPSJoinQuery,
         index: Optional[STGridIndex] = None,
-        kernel: Optional[str] = None,
     ):
         if index is None:
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=False)
@@ -548,23 +555,22 @@ class SPPJBPlan(_PairwisePlan):
             "sizes": [len(dataset.user_objects(u)) for u in users],
             "index": index,
             "query": query,
-            "kernel": _kernels.resolve_kernel(kernel),
         }
 
     def warm(self, state, with_stats: bool, with_metrics: bool) -> None:
-        if state["kernel"] == "numpy" and not with_stats and not with_metrics:
-            _kernels.batch_kernel_for(state["index"], state["users"])
+        if not with_stats and not with_metrics:
+            batch_kernel_for(state["index"], state["users"])
 
     def run_chunk(self, state, chunk, stats):
         users, sizes = state["users"], state["sizes"]
         index, query = state["index"], state["query"]
         out: List[UserPair] = []
         batch = None
-        if state["kernel"] == "numpy" and stats is None and _obs.active() is None:
+        if stats is None and _obs.active() is None:
             # Lemma 1 early termination is admissible (it only zeroes
             # pairs whose exact score misses eps_user), so the fused
             # batch scores select the identical result set.
-            batch = _kernels.batch_kernel_for(index, users)
+            batch = batch_kernel_for(index, users)
         eps_sq = query.eps_loc * query.eps_loc
         for i, j0, j1 in chunk:
             if batch is not None:
@@ -586,7 +592,6 @@ class SPPJBPlan(_PairwisePlan):
                     sizes[i],
                     sizes[j],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score >= query.eps_user:
                     out.append(UserPair(users[i], users[j], score))
@@ -607,7 +612,6 @@ class SPPJFPlan(_UserShardPlan):
         query: STPSJoinQuery,
         refine: str = "ppj-b",
         index: Optional[STGridIndex] = None,
-        kernel: Optional[str] = None,
     ):
         if refine not in ("ppj-b", "ppj-c"):
             raise ValueError(f"unknown refine strategy: {refine!r}")
@@ -616,7 +620,7 @@ class SPPJFPlan(_UserShardPlan):
         else:
             _check_grid_index(index, query.eps_loc, need_tokens=True)
         return _shard_state(
-            dataset, query, index, list(dataset.users), kernel, refine=refine
+            dataset, query, index, list(dataset.users), refine=refine
         )
 
     def run_chunk(self, state, chunk, stats):
@@ -668,13 +672,11 @@ class SPPJFPlan(_UserShardPlan):
                         sizes[cand],
                         sizes[user],
                         stats,
-                        kernel=state["kernel"],
                     )
                 else:
                     total = sizes[cand] + sizes[user]
                     matched = ppj_c_pair(
-                        index, cand, user, query.eps_loc, query.eps_doc, stats,
-                        kernel=state["kernel"],
+                        index, cand, user, query.eps_loc, query.eps_doc
                     )
                     score = matched / total if total else 0.0
                 if score >= query.eps_user:
@@ -695,7 +697,6 @@ class SPPJDPlan(_UserShardPlan):
         fanout: int = 100,
         partitioner: str = "rtree",
         index: Optional[STLeafIndex] = None,
-        kernel: Optional[str] = None,
     ):
         if index is None:
             index = STLeafIndex(
@@ -703,7 +704,7 @@ class SPPJDPlan(_UserShardPlan):
             )
         elif index.eps_loc != query.eps_loc:
             raise ValueError("prebuilt index eps_loc does not match the query")
-        return _shard_state(dataset, query, index, list(dataset.users), kernel)
+        return _shard_state(dataset, query, index, list(dataset.users))
 
     def run_chunk(self, state, chunk, stats):
         index: STLeafIndex = state["index"]
@@ -747,7 +748,6 @@ class SPPJDPlan(_UserShardPlan):
                     size_u,
                     sizes[cand],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score >= query.eps_user:
                     out.append(UserPair(user, cand, score))
@@ -797,13 +797,7 @@ class NaiveTopKPlan(_PairwisePlan):
     kind = "topk"
     name = "naive"
 
-    def build_state(
-        self,
-        dataset: STDataset,
-        query: TopKQuery,
-        kernel: Optional[str] = None,
-    ):
-        _kernels.resolve_kernel(kernel)
+    def build_state(self, dataset: STDataset, query: TopKQuery):
         users = list(dataset.users)
         return {
             "users": users,
@@ -828,22 +822,40 @@ class NaiveTopKPlan(_PairwisePlan):
         return results
 
 
-class _TopKGridPlan(_UserShardPlan):
-    """The grid top-k skeleton of Algorithm 4 (TOPK-S-PPJ-F/-S/-P).
+class _TopKShardPlan(_UserShardPlan):
+    """What the grid and leaf top-k plans share: users ascending by size
+    (unless a subclass reorders them) and the *floor* — a canonical heap
+    over the pairs of every chunk accepted so far (:meth:`accept`).
 
-    Users are visited in the plan's user order.  Each user probes the
-    full grid for candidates at *earlier* positions, which are refined in
-    position order (so the run, and its counters, do not depend on set
-    iteration order): the ``sigma_bar`` bound and PPJ-B's early
-    termination both test against the chunk's current k-th best score.
-    That is the global threshold when the run is one chunk, and never
-    above it otherwise, so pruning stays safe.
+    A chunk prunes against its own heap's k-th best score or the floor's,
+    whichever is higher.  Both are k-th best scores of exactly evaluated
+    pairs, so neither exceeds the global k-th best; the comparisons stay
+    strict, so a candidate that could tie the k-th best is still refined.
     """
 
     kind = "topk"
 
     def unit_sizes(self, dataset: STDataset) -> List[int]:
         return sorted(_user_sizes(dataset))
+
+    def accept(self, state, pairs: Sequence[UserPair]) -> None:
+        floor = state["floor"]
+        for pair in pairs:
+            floor.offer(pair)
+
+
+class _TopKGridPlan(_TopKShardPlan):
+    """The grid top-k skeleton of Algorithm 4 (TOPK-S-PPJ-F/-S/-P).
+
+    Users are visited in the plan's user order.  Each user probes the
+    full grid for candidates at *earlier* positions, which are refined in
+    position order (so the run, and its counters, do not depend on set
+    iteration order): the Lemma 2 user bound, the ``sigma_bar`` bound and
+    PPJ-B's early termination all test against the current threshold —
+    the chunk's k-th best score, raised to the floor's when that is
+    higher.  That is the global threshold when the run is one chunk, and
+    never above it otherwise, so pruning stays safe.
+    """
 
     def user_order(self, dataset: STDataset, index: STGridIndex) -> List[UserId]:
         return _size_order(dataset)
@@ -853,14 +865,14 @@ class _TopKGridPlan(_UserShardPlan):
         dataset: STDataset,
         query: TopKQuery,
         index: Optional[STGridIndex] = None,
-        kernel: Optional[str] = None,
     ):
         if index is None:
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=True)
         else:
             _check_grid_index(index, query.eps_loc, need_tokens=True)
         return _shard_state(
-            dataset, query, index, self.user_order(dataset, index), kernel
+            dataset, query, index, self.user_order(dataset, index),
+            floor=_TopKHeap(query.k),
         )
 
     def skip_user(self, state, p: int, threshold: float) -> bool:
@@ -878,9 +890,10 @@ class _TopKGridPlan(_UserShardPlan):
         cand_seconds = 0.0
         n_evaluated = 0
         heap = _TopKHeap(query.k)
+        floor = state["floor"].threshold
         for p in chunk:
             user = order[p]
-            if self.skip_user(state, p, heap.threshold):
+            if self.skip_user(state, p, max(heap.threshold, floor)):
                 if stats is not None:
                     stats.users_skipped += 1
                 continue
@@ -895,7 +908,7 @@ class _TopKGridPlan(_UserShardPlan):
                 stats.candidates += len(candidates)
             for cand in sorted(candidates, key=pos.__getitem__):
                 own_cells, cand_cells = candidates[cand]
-                threshold = heap.threshold
+                threshold = max(heap.threshold, floor)
                 bound = candidate_bound(
                     index,
                     user,
@@ -922,7 +935,6 @@ class _TopKGridPlan(_UserShardPlan):
                     sizes[cand],
                     sizes[user],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score > 0.0:
                     heap.offer(_ordered_pair(rank, cand, user, score))
@@ -1032,15 +1044,12 @@ def _seen_before(token_maps, doc, pos, p: int) -> bool:
     return False
 
 
-class TopKLeafPlan(_UserShardPlan):
+class TopKLeafPlan(_TopKShardPlan):
     """TOPK-S-PPJ-D: users ascending by size, leaf-token candidates among
-    earlier users, refined in position order against the chunk's heap."""
+    earlier users, refined in position order against the chunk's heap
+    (raised to the floor's threshold when that is higher)."""
 
-    kind = "topk"
     name = "topk-s-ppj-d"
-
-    def unit_sizes(self, dataset: STDataset) -> List[int]:
-        return sorted(_user_sizes(dataset))
 
     def build_state(
         self,
@@ -1048,13 +1057,15 @@ class TopKLeafPlan(_UserShardPlan):
         query: TopKQuery,
         fanout: int = 100,
         index: Optional[STLeafIndex] = None,
-        kernel: Optional[str] = None,
     ):
         if index is None:
             index = STLeafIndex(dataset, query.eps_loc, fanout=fanout)
         elif index.eps_loc != query.eps_loc:
             raise ValueError("prebuilt index eps_loc does not match the query")
-        return _shard_state(dataset, query, index, _size_order(dataset), kernel)
+        return _shard_state(
+            dataset, query, index, _size_order(dataset),
+            floor=_TopKHeap(query.k),
+        )
 
     def run_chunk(self, state, chunk, stats):
         index: STLeafIndex = state["index"]
@@ -1065,6 +1076,7 @@ class TopKLeafPlan(_UserShardPlan):
         cand_seconds = 0.0
         n_evaluated = 0
         heap = _TopKHeap(query.k)
+        floor = state["floor"].threshold
         for p in chunk:
             user = order[p]
             if reg is not None:
@@ -1078,7 +1090,7 @@ class TopKLeafPlan(_UserShardPlan):
                 stats.candidates += len(candidates)
             for cand in sorted(candidates, key=pos.__getitem__):
                 own_leaves, cand_leaves = candidates[cand]
-                threshold = heap.threshold
+                threshold = max(heap.threshold, floor)
                 total = size_u + sizes[cand]
                 if total == 0:
                     continue
@@ -1100,7 +1112,6 @@ class TopKLeafPlan(_UserShardPlan):
                     size_u,
                     sizes[cand],
                     stats,
-                    kernel=state["kernel"],
                 )
                 if score > 0.0:
                     heap.offer(_ordered_pair(rank, cand, user, score))

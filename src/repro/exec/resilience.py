@@ -193,7 +193,6 @@ class ExecutionReport:
     backend: str = "sequential"
     start_method: Optional[str] = None
     algorithm: str = ""
-    kernel: str = "python"
     run_id: Optional[str] = None
     dataset_fingerprint: Optional[str] = None
     artifacts: Dict[str, str] = field(default_factory=dict)
@@ -230,8 +229,6 @@ class ExecutionReport:
         transport = self.backend
         if self.backend == "process" and self.start_method:
             transport = f"{self.backend}/{self.start_method}"
-        if self.kernel and self.kernel != "python":
-            transport = f"{transport}, {self.kernel} kernels"
         parts = [
             f"execution report [{self.algorithm or 'join'} on {transport}]:",
             f"{self.chunks_completed}/{self.chunks_total} chunks",

@@ -178,7 +178,6 @@ class ExplainReport:
     run_id: Optional[str] = None
     backend: str = ""
     start_method: Optional[str] = None
-    kernel: str = ""
     dataset_fingerprint: Optional[str] = None
     elapsed: float = 0.0
     object_funnel: List[dict] = field(default_factory=list)
@@ -186,7 +185,6 @@ class ExplainReport:
     counters: Dict[str, int] = field(default_factory=dict)
     engine_counters: Dict[str, int] = field(default_factory=dict)
     cache_counters: Dict[str, int] = field(default_factory=dict)
-    kernel_counters: Dict[str, int] = field(default_factory=dict)
     phases: List[dict] = field(default_factory=list)
     chunks: dict = field(default_factory=dict)
     top_chunks: List[dict] = field(default_factory=list)
@@ -202,7 +200,6 @@ class ExplainReport:
             "run_id": self.run_id,
             "backend": self.backend,
             "start_method": self.start_method,
-            "kernel": self.kernel,
             "dataset_fingerprint": self.dataset_fingerprint,
             "elapsed": self.elapsed,
             "object_funnel": self.object_funnel,
@@ -210,7 +207,6 @@ class ExplainReport:
             "counters": self.counters,
             "engine_counters": self.engine_counters,
             "cache_counters": self.cache_counters,
-            "kernel_counters": self.kernel_counters,
             "phases": self.phases,
             "chunks": self.chunks,
             "top_chunks": self.top_chunks,
@@ -260,7 +256,6 @@ def build_explain(
         counters=counters,
         engine_counters=telemetry.metrics.counter_values("engine."),
         cache_counters=telemetry.metrics.counter_values("cache."),
-        kernel_counters=telemetry.metrics.counter_values("kernel."),
         phases=_phase_rows(telemetry.metrics),
     )
     if report is not None:
@@ -268,7 +263,6 @@ def build_explain(
         explain.run_id = report.run_id
         explain.backend = report.backend
         explain.start_method = report.start_method
-        explain.kernel = getattr(report, "kernel", "") or ""
         explain.dataset_fingerprint = report.dataset_fingerprint
         explain.elapsed = report.elapsed
         explain.chunks = _chunk_stats(report)
@@ -306,9 +300,6 @@ def render_explain(payload: dict) -> str:
         transport = backend
         if backend == "process" and payload.get("start_method"):
             transport += f"/{payload['start_method']}"
-        kernel = payload.get("kernel")
-        if kernel and kernel != "python":
-            transport += f", {kernel} kernels"
         head += f" on {transport}"
     lines.append(head)
 

@@ -68,19 +68,17 @@ class Telemetry:
         """Counters describing *logical work* — the deterministic subset.
 
         Excludes the ``engine.*`` scheduling counters, which legitimately
-        differ under retries, degrades and respawns, the ``cache.*``
+        differ under retries, degrades and respawns, and the ``cache.*``
         lazy-build counters, which depend on how workers share (or do not
-        share) the process-local pack and prefix-index caches, and the
-        ``kernel.*`` backend counters, which record *how* the work was
-        evaluated (numpy batches vs scalar loops) rather than how much
-        work there was; everything else is byte-identical across backends
-        *and kernel backends* for a fixed (dataset, query, algorithm,
-        chunk size) — see ``tests/obs/test_determinism.py``.
+        share) the process-local pack and prefix-index caches; everything
+        else is byte-identical across backends for a fixed (dataset,
+        query, algorithm, chunk size) — see
+        ``tests/obs/test_determinism.py``.
         """
         return {
             name: value
             for name, value in self.metrics.counter_values().items()
-            if not name.startswith(("engine.", "cache.", "kernel."))
+            if not name.startswith(("engine.", "cache."))
         }
 
     def summary(self) -> str:

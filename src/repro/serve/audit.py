@@ -2,7 +2,7 @@
 
 Every query the resident server answers — success, cache hit, 429, 504
 or crash — produces one structured :class:`AuditRecord`: who asked for
-what (dataset fingerprint, algorithm, kernel, params), what it cost
+what (dataset fingerprint, algorithm, params), what it cost
 (admission-queue wait and the queue/setup/execute/serialize latency
 breakdown), what happened (outcome class, cache hit/miss, error text)
 and what the engine did (run_id, funnel summary, cost-calibration
@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 #: Bump when AuditRecord.as_dict() changes shape.
-AUDIT_SCHEMA_VERSION = 1
+AUDIT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -54,7 +54,6 @@ class AuditRecord:
     fingerprint: Optional[str] = None
     query_type: str = ""  # "join" | "topk" | "knn"
     algorithm: str = ""
-    kernel: Optional[str] = None
     params: Dict[str, object] = field(default_factory=dict)
     outcome: str = "ok"  # one of repro.obs.analytics.OUTCOMES
     error: Optional[str] = None  # error class name when outcome != ok
@@ -76,7 +75,6 @@ class AuditRecord:
             "fingerprint": self.fingerprint,
             "type": self.query_type,
             "algorithm": self.algorithm,
-            "kernel": self.kernel,
             "params": self.params,
             "outcome": self.outcome,
             "error": self.error,

@@ -20,7 +20,6 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from ..core import kernels as _kernels
 from ..core.api import JOIN_ALGORITHMS, TOPK_ALGORITHMS, stps_join, topk_stps_join
 from ..core.knn import similar_users
 from ..datasets.loaders import load_tsv
@@ -217,7 +216,6 @@ class JoinService:
                 if record is not None:
                     record.cache = "hit"
                     record.result_count = payload.get("count")
-                    record.kernel = payload.get("kernel")
                 self.metrics.histogram("serve.request.seconds").observe(
                     time.perf_counter() - start
                 )
@@ -268,7 +266,7 @@ class JoinService:
                 k: request[k]
                 for k in (
                     "eps_loc", "eps_doc", "eps_user", "k", "user", "fanout",
-                    "partitioner", "deadline", "kernel", "no_cache", "explain",
+                    "partitioner", "deadline", "no_cache", "explain",
                 )
                 if k in request
             }
@@ -384,25 +382,8 @@ class JoinService:
             request.get("user"),
             request.get("fanout"),
             request.get("partitioner"),
-            self._kernel(request),
         )
         return prepared, key, explain
-
-    def _kernel(self, request: Dict[str, Any]) -> str:
-        """Resolve the request's kernel backend (``auto`` when absent).
-
-        Results are byte-identical across backends, but the resolved
-        backend is part of the cache key anyway so a cached payload's
-        ``kernel`` field always tells the truth about how it was (or
-        would be) computed.
-        """
-        choice = request.get("kernel")
-        if choice is not None and not isinstance(choice, str):
-            raise QueryError("kernel must be a string")
-        try:
-            return _kernels.resolve_kernel(choice)
-        except (ValueError, RuntimeError) as exc:
-            raise QueryError(str(exc)) from None
 
     def _policy(self, request: Dict[str, Any]) -> Optional[ExecutionPolicy]:
         deadline = request.get("deadline", self.default_deadline)
@@ -477,16 +458,10 @@ class JoinService:
         payload["algorithm"] = algorithm
         if record is not None:
             record.algorithm = algorithm
-        kernel = self._kernel(request)
-        payload["kernel"] = kernel
-        if record is not None:
-            record.kernel = kernel
-        self.metrics.counter(f"serve.kernel.{kernel}").inc()
         setup_started = time.perf_counter()
         kwargs = self._index_kwargs(prepared, algorithm, request)
         if record is not None:
             record.timings["setup"] = time.perf_counter() - setup_started
-        kwargs["kernel"] = request.get("kernel")
         policy = self._policy(request)
         if policy is not None:
             kwargs["policy"] = policy

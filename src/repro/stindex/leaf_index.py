@@ -18,7 +18,7 @@ quadtree (whose leaves carry no internal hierarchy to traverse).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Set, Tuple
 
 from ..core.model import STDataset, STObject, UserId
 from ..obs import runtime as _obs
@@ -26,6 +26,7 @@ from ..spatial.geometry import Rect
 from ..spatial.quadtree import QuadTree
 from ..spatial.rtree import RTree
 from ..spatial.spatial_join import rtree_relevant_leaf_pairs, sweep_rect_pairs
+from .stgrid import _NO_USERS
 
 __all__ = ["STLeafIndex"]
 
@@ -132,9 +133,9 @@ class STLeafIndex:
         """Users with at least one object in the leaf."""
         return list(self._leaf_objects[leaf_id].keys())
 
-    def token_users(self, leaf_id: int, token: int) -> Set[UserId]:
+    def token_users(self, leaf_id: int, token: int) -> AbstractSet[UserId]:
         """``U^l_t``: users whose objects in the leaf contain ``token``."""
-        return self._leaf_token_users[leaf_id].get(token, set())
+        return self._leaf_token_users[leaf_id].get(token, _NO_USERS)
 
     def user_leaf_tokens(self, user: UserId, leaf_id: int) -> Set[int]:
         """Tokens of ``user``'s objects inside the leaf."""

@@ -22,12 +22,9 @@ results match the fork and sequential paths exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Dict, Hashable, List, Tuple
 
-try:  # numpy is optional everywhere in this repository
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised via the python kernel path
-    _np = None
+import numpy as _np
 
 from ..core.model import STDataset, STObject, UserId
 from ..textual.vocabulary import TokenDictionary
@@ -46,20 +43,17 @@ class DatasetSnapshot:
     matters because the spawn transport serializes a snapshot into every
     worker's initializer.
 
-    When numpy is importable, the numeric columns are captured as numpy
-    arrays instead of tuples: ``xs``/``ys`` as float64, and the encoded
-    documents as one flattened int32 token-id array (``tok_flat``) plus
-    an int64 offsets array (``tok_off``, length ``n_objects + 1``) —
-    the same layout the vectorized join kernels
-    (:mod:`repro.core.kernels`) use.  Arrays pickle as raw buffers, so a
-    spawn worker deserializes the whole textual payload with two
-    ``frombuffer`` calls instead of one tuple object per document.
-    Restore is exact either way: float64 round-trips Python floats
-    bit-for-bit and token ids are small non-negative ints.
+    The numeric columns are numpy arrays: ``xs``/``ys`` as float64, and
+    the encoded documents as one flattened int32 token-id array
+    (``tok_flat``) plus an int64 offsets array (``tok_off``, length
+    ``n_objects + 1``).  Arrays pickle as raw buffers, so a spawn worker
+    deserializes the whole textual payload with two ``frombuffer`` calls
+    instead of one tuple object per document.  Restore is exact: float64
+    round-trips Python floats bit-for-bit and token ids are small
+    non-negative ints.
     """
 
-    __slots__ = ("tokens", "dfs", "users", "xs", "ys", "docs",
-                 "tok_flat", "tok_off")
+    __slots__ = ("tokens", "dfs", "users", "xs", "ys", "tok_flat", "tok_off")
 
     def __init__(
         self,
@@ -68,16 +62,14 @@ class DatasetSnapshot:
         users: Tuple[UserId, ...],
         xs,
         ys,
-        docs: Optional[Tuple[Tuple[int, ...], ...]] = None,
-        tok_flat=None,
-        tok_off=None,
+        tok_flat,
+        tok_off,
     ):
         self.tokens = tokens
         self.dfs = dfs
         self.users = users
         self.xs = xs
         self.ys = ys
-        self.docs = docs
         self.tok_flat = tok_flat
         self.tok_off = tok_off
 
@@ -85,27 +77,18 @@ class DatasetSnapshot:
     def capture(cls, dataset: STDataset) -> "DatasetSnapshot":
         """Snapshot ``dataset``; the dataset is not modified."""
         objs = dataset.objects
-        if _np is not None:
-            off = [0]
-            for o in objs:
-                off.append(off[-1] + len(o.doc))
-            flat = [t for o in objs for t in o.doc]
-            return cls(
-                tokens=tuple(dataset.vocab._id_to_token),
-                dfs=tuple(dataset.vocab._df),
-                users=tuple(o.user for o in objs),
-                xs=_np.array([o.x for o in objs], dtype=_np.float64),
-                ys=_np.array([o.y for o in objs], dtype=_np.float64),
-                tok_flat=_np.array(flat, dtype=_np.int32),
-                tok_off=_np.array(off, dtype=_np.int64),
-            )
+        off = [0]
+        for o in objs:
+            off.append(off[-1] + len(o.doc))
+        flat = [t for o in objs for t in o.doc]
         return cls(
             tokens=tuple(dataset.vocab._id_to_token),
             dfs=tuple(dataset.vocab._df),
             users=tuple(o.user for o in objs),
-            xs=tuple(o.x for o in objs),
-            ys=tuple(o.y for o in objs),
-            docs=tuple(o.doc for o in objs),
+            xs=_np.array([o.x for o in objs], dtype=_np.float64),
+            ys=_np.array([o.y for o in objs], dtype=_np.float64),
+            tok_flat=_np.array(flat, dtype=_np.int32),
+            tok_off=_np.array(off, dtype=_np.int64),
         )
 
     def restore(self) -> STDataset:
@@ -121,17 +104,13 @@ class DatasetSnapshot:
         vocab._df = list(self.dfs)
         vocab._token_to_id = {t: i for i, t in enumerate(self.tokens)}
 
-        if self.docs is not None:
-            docs = self.docs
-            xs, ys = self.xs, self.ys
-        else:
-            flat = self.tok_flat.tolist()
-            off = self.tok_off.tolist()
-            docs = tuple(
-                tuple(flat[off[i]:off[i + 1]]) for i in range(len(self.users))
-            )
-            xs = self.xs.tolist()
-            ys = self.ys.tolist()
+        flat = self.tok_flat.tolist()
+        off = self.tok_off.tolist()
+        docs = tuple(
+            tuple(flat[off[i]:off[i + 1]]) for i in range(len(self.users))
+        )
+        xs = self.xs.tolist()
+        ys = self.ys.tolist()
 
         objects: List[STObject] = []
         by_user: Dict[UserId, List[STObject]] = {}

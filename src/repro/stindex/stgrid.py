@@ -15,12 +15,7 @@ a-time population that Algorithm 2 interleaves with candidate search.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-try:  # pragma: no cover - numpy is a declared dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
+from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.model import STDataset, STObject, UserId
 from ..obs import runtime as _obs
@@ -28,41 +23,10 @@ from ..spatial.geometry import Rect
 from ..spatial.grid import CellCoord, UniformGrid
 from ..textual.ppjoin import build_prefix_index
 
-__all__ = ["CellPack", "CellPackColumns", "STGridIndex"]
+__all__ = ["CellPack", "STGridIndex"]
 
-
-class CellPackColumns:
-    """Numpy columns of a :class:`CellPack` (the vectorized-kernel layout).
-
-    Coordinates as float64 arrays, document lengths, the first/last token
-    id per document (``-1`` for empty docs), and all token ids flattened
-    into one int32 array with int64 offsets — documents are canonical
-    sorted tuples, so each flattened segment is sorted, which is what the
-    batched sorted-array intersection in :mod:`repro.core.kernels`
-    relies on.
-    """
-
-    __slots__ = ("xs", "ys", "lens", "tok_first", "tok_last", "tok_flat", "tok_off")
-
-    def __init__(self, pack: "CellPack"):
-        self.xs = _np.asarray(pack.xs, dtype=_np.float64)
-        self.ys = _np.asarray(pack.ys, dtype=_np.float64)
-        self.lens = _np.asarray(pack.lens, dtype=_np.int64)
-        docs = pack.docs
-        self.tok_first = _np.asarray(
-            [d[0] if d else -1 for d in docs], dtype=_np.int64
-        )
-        self.tok_last = _np.asarray(
-            [d[-1] if d else -1 for d in docs], dtype=_np.int64
-        )
-        off = _np.zeros(len(docs), dtype=_np.int64)
-        if len(docs):
-            _np.cumsum(self.lens[:-1], out=off[1:])
-        self.tok_off = off
-        flat: List[int] = []
-        for d in docs:
-            flat.extend(d)
-        self.tok_flat = _np.asarray(flat, dtype=_np.int32)
+#: The shared (immutable) answer of a token lookup that misses.
+_NO_USERS: AbstractSet[UserId] = frozenset()
 
 
 class CellPack:
@@ -76,7 +40,7 @@ class CellPack:
     objects for the (rare) predicate hook.
     """
 
-    __slots__ = ("objs", "oids", "xs", "ys", "docs", "doc_sets", "lens", "_cols")
+    __slots__ = ("objs", "oids", "xs", "ys", "docs", "doc_sets", "lens")
 
     def __init__(self, objs: Sequence[STObject]):
         self.objs = list(objs)
@@ -86,21 +50,9 @@ class CellPack:
         self.docs = [o.doc for o in self.objs]
         self.doc_sets = [o.doc_set for o in self.objs]
         self.lens = [len(o.doc) for o in self.objs]
-        self._cols: Optional[CellPackColumns] = None
 
     def __len__(self) -> int:
         return len(self.objs)
-
-    def columns(self) -> CellPackColumns:
-        """Lazy numpy columns over the same objects (cached).
-
-        Packs are immutable once built (``add_user`` invalidates whole
-        packs rather than mutating them), so the columns never go stale.
-        """
-        cols = self._cols
-        if cols is None:
-            cols = self._cols = CellPackColumns(self)
-        return cols
 
 
 class STGridIndex:
@@ -143,9 +95,6 @@ class STGridIndex:
         ] = {}
         # user -> {cell -> pack} over every occupied cell of the user.
         self._user_packs: Dict[UserId, Dict[CellCoord, CellPack]] = {}
-        # (cell, user) -> threshold -> CSR form of the prefix index (the
-        # numpy probe kernel's layout; built on top of _prefix_indexes).
-        self._prefix_csrs: Dict[Tuple[CellCoord, UserId], Dict[float, tuple]] = {}
         # (user order, PairBatchKernel) built by repro.core.kernels for
         # the fused batch path; invalidated on any mutation.
         self._batch_kernel: Optional[Tuple[tuple, object]] = None
@@ -189,7 +138,6 @@ class STGridIndex:
         for cell in cells:
             self._packs.pop((cell, user), None)
             self._prefix_indexes.pop((cell, user), None)
-            self._prefix_csrs.pop((cell, user), None)
         self._user_packs.pop(user, None)
         self._batch_kernel = None
 
@@ -304,28 +252,6 @@ class STGridIndex:
             _obs.count("cache.prefix_index_builds")
         return index
 
-    def cell_prefix_csr(
-        self, cell: CellCoord, user: UserId, threshold: float
-    ) -> tuple:
-        """CSR (token-sorted numpy arrays) form of :meth:`cell_prefix_index`.
-
-        The layout the counted numpy probe kernel consumes; cached with
-        the same ``(cell, user, threshold)`` keying and lifetime as the
-        dict-based prefix index it is derived from.
-        """
-        from ..core.kernels import prefix_index_csr
-
-        key = (cell, user)
-        per_threshold = self._prefix_csrs.get(key)
-        if per_threshold is None:
-            per_threshold = self._prefix_csrs[key] = {}
-        csr = per_threshold.get(threshold)
-        if csr is None:
-            csr = per_threshold[threshold] = prefix_index_csr(
-                self.cell_prefix_index(cell, user, threshold)
-            )
-        return csr
-
     def cell_user_count(self, cell: CellCoord, user: UserId) -> int:
         """``|D^c_u|`` without materializing a list."""
         per_user = self._cell_objects.get(cell)
@@ -349,14 +275,14 @@ class STGridIndex:
             raise RuntimeError("index built without token lists")
         return self._cell_token_users.get(cell) or {}
 
-    def token_users(self, cell: CellCoord, token: int) -> Set[UserId]:
+    def token_users(self, cell: CellCoord, token: int) -> AbstractSet[UserId]:
         """``G.getTokenUsers``: users whose objects in ``cell`` contain ``token``."""
         if not self.with_tokens:
             raise RuntimeError("index built without token lists")
         token_map = self._cell_token_users.get(cell)
         if not token_map:
-            return set()
-        return token_map.get(token, set())
+            return _NO_USERS
+        return token_map.get(token, _NO_USERS)
 
     def user_cell_tokens(self, user: UserId, cell: CellCoord) -> Set[int]:
         """``calculateTokens``: tokens of ``user``'s objects inside ``cell``."""

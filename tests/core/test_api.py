@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro import JOIN_ALGORITHMS, TOPK_ALGORITHMS, stps_join, topk_stps_join
+from repro import (
+    JOIN_ALGORITHMS,
+    TOPK_ALGORITHMS,
+    Telemetry,
+    stps_join,
+    topk_stps_join,
+)
 from repro.core.pair_eval import PairEvalStats
 from tests.helpers import build_clustered_dataset
 
@@ -38,9 +44,19 @@ class TestStpsJoin:
         )
 
     def test_stats_forwarded(self, dataset):
-        stats = PairEvalStats()
-        stps_join(dataset, 0.05, 0.3, 0.3, algorithm="s-ppj-b", stats=stats)
-        assert stats.cell_joins > 0
+        stats, tele = PairEvalStats(), Telemetry()
+        stps_join(
+            dataset, 0.05, 0.3, 0.3, algorithm="s-ppj-b", stats=stats,
+            telemetry=tele,
+        )
+        counters = tele.work_counters()
+        assert counters["funnel.cell_pairs"] > 0
+        # The caller's stats receive exactly what the run mirrored.
+        assert {
+            "filter." + name: value
+            for name, value in stats.as_dict().items()
+            if value
+        } == {k: v for k, v in counters.items() if k.startswith("filter.")}
 
     def test_fanout_kwarg_for_sppjd(self, dataset):
         out_default = stps_join(dataset, 0.05, 0.3, 0.3, algorithm="s-ppj-d")

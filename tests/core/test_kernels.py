@@ -1,19 +1,18 @@
-"""The vectorized kernel backend against its scalar twins.
+"""The two pair-evaluation tiers agree, and nothing selects between them
+but whether work counters were requested.
 
-Three layers of pinning for :mod:`repro.core.kernels`:
+Plain S-PPJ-C/B runs take the fused numpy batch kernel
+(:mod:`repro.core.kernels`); every other run — and any S-PPJ-C/B run
+with ``stats=`` or telemetry — takes the scalar evaluators of
+:mod:`repro.core.pair_eval`.  Pinned here:
 
-* backend resolution — explicit argument beats ``REPRO_KERNEL`` beats
-  auto-detection, and invalid choices fail loudly;
-* hypothesis property tests driving the numpy distance / token
-  intersection kernels against the scalar evaluators on adversarial
-  inputs (empty documents, duplicate tokens, identical coordinates,
-  distances exactly on the ``eps_loc`` boundary) — results must match to
-  the last float bit and, with a metrics registry active, the funnel
-  counters must tally identically;
-* whole-algorithm differentials: every join / top-k / knn algorithm
-  under ``REPRO_KERNEL=numpy`` vs ``REPRO_KERNEL=python`` with
-  byte-identical results and zero work-counter drift, the invariant
-  ``repro obs diff`` gates on.
+* hypothesis property tests driving the fused kernel against the scalar
+  traversals on adversarial inputs (empty documents, duplicate tokens,
+  identical coordinates, distances exactly on the ``eps_loc`` boundary) —
+  results must match to the last float bit;
+* telemetry on and off give byte-identical results for every algorithm;
+* the removed kernel switch stays removed: ``kernel=`` is rejected and a
+  leftover ``REPRO_KERNEL`` in the environment changes nothing.
 """
 
 from __future__ import annotations
@@ -26,59 +25,37 @@ from repro import STDataset, Telemetry, stps_join, topk_stps_join
 from repro.core import kernels
 from repro.core.knn import similar_users
 from repro.core.pair_eval import ppj_b_pair, ppj_c_pair
+from repro.core.query import UserPair, pair_sort_key
 from repro.obs import runtime as _obs
 from repro.obs.metrics import MetricsRegistry
 from repro.stindex.stgrid import STGridIndex
-from tests.helpers import build_random_dataset
-
-pytestmark = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy unavailable"
-)
-
+from tests.helpers import build_clustered_dataset
 
 # ---------------------------------------------------------------------------
-# backend resolution
+# what is left of the kernel switch
 
 
 class TestResolveKernel:
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
-        assert kernels.resolve_kernel("python") == "python"
-
-    def test_env_beats_auto(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "python")
-        assert kernels.resolve_kernel() == "python"
-
-    def test_auto_resolves_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv(kernels.KERNEL_ENV, raising=False)
+    def test_auto_resolves_numpy_when_available(self):
+        # Benchmark host descriptions still name the batch tier.
         assert kernels.resolve_kernel() == "numpy"
-        assert kernels.resolve_kernel("auto") == "numpy"
 
     def test_invalid_explicit_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.resolve_kernel("cuda")
-
-    def test_invalid_env_raises(self, monkeypatch):
-        monkeypatch.setenv(kernels.KERNEL_ENV, "fortran")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.resolve_kernel()
-
-    def test_invalid_env_rejected_at_api_entry(self, monkeypatch):
-        """Even algorithms that never dispatch on the kernel (s-ppj-f,
-        naive, the sequential top-k path) must reject a bogus backend."""
-        monkeypatch.setenv(kernels.KERNEL_ENV, "fortran")
+        """There is no ``kernel=`` selector any more: every value is
+        rejected by the plans it would reach."""
         dataset = STDataset.from_records(
             [(0, 0.0, 0.0, ["a"]), (1, 0.0, 0.0, ["a", "b"])]
         )
-        for algorithm in ("s-ppj-f", "naive"):
-            with pytest.raises(ValueError, match="unknown kernel backend"):
-                stps_join(dataset, 0.05, 0.3, 0.2, algorithm=algorithm)
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            topk_stps_join(dataset, 0.05, 0.3, 2, algorithm="naive")
+        for kernel in ("numpy", "python"):
+            with pytest.raises(TypeError, match="kernel"):
+                stps_join(dataset, 0.05, 0.3, 0.2, algorithm="s-ppj-b",
+                          kernel=kernel)
+            with pytest.raises(TypeError, match="kernel"):
+                topk_stps_join(dataset, 0.05, 0.3, 2, kernel=kernel)
 
 
 # ---------------------------------------------------------------------------
-# property tests: numpy kernels vs scalar twins on adversarial inputs
+# property tests: the fused tier vs the scalar traversals
 
 #: Coordinates snap to a grid of pitch eps_loc/2, so identical points and
 #: pairs at *exactly* the eps_loc boundary (distance == 2 grid steps both
@@ -110,94 +87,80 @@ def _scores_hex(pairs):
     return [(p.user_a, p.user_b, p.score.hex()) for p in pairs]
 
 
+def _scalar_join(dataset, eps_doc, eps_user, algorithm):
+    """The scalar route: every pair through ppj_c_pair / ppj_b_pair on a
+    prebuilt grid, in the engine's result order."""
+    index = STGridIndex.build(dataset, _EPS_LOC, with_tokens=False)
+    users = dataset.users
+    sizes = [len(dataset.user_objects(u)) for u in users]
+    out = []
+    for i in range(len(users)):
+        for j in range(i + 1, len(users)):
+            total = sizes[i] + sizes[j]
+            if algorithm == "s-ppj-c":
+                matched = ppj_c_pair(index, users[i], users[j], _EPS_LOC, eps_doc)
+                score = matched / total if total else 0.0
+            else:
+                score = ppj_b_pair(
+                    index, users[i], users[j], _EPS_LOC, eps_doc, eps_user,
+                    sizes[i], sizes[j],
+                )
+            if total and score >= eps_user:
+                out.append(UserPair(users[i], users[j], score))
+    return _scores_hex(sorted(out, key=pair_sort_key))
+
+
 @settings(max_examples=25, deadline=None)
 @given(dataset=adversarial_datasets(), q=st.sampled_from(_QUERY_GRID))
 def test_batch_kernel_matches_scalar_joins(dataset, q):
     """The fused batch tier is bit-identical to the scalar traversals."""
     eps_doc, eps_user = q
     for algorithm in ("s-ppj-c", "s-ppj-b"):
-        scalar, batched = (
-            stps_join(
-                dataset, _EPS_LOC, eps_doc, eps_user, algorithm=algorithm,
-                kernel=kernel,
-            )
-            for kernel in ("python", "numpy")
+        batched = stps_join(dataset, _EPS_LOC, eps_doc, eps_user,
+                            algorithm=algorithm)
+        assert _scores_hex(batched) == _scalar_join(
+            dataset, eps_doc, eps_user, algorithm
         )
-        assert _scores_hex(batched) == _scores_hex(scalar)
-
-
-def _counted_pairs(dataset, eps_doc, kernel, pair_fn):
-    """All-pairs matched counts + funnel counters under a live registry."""
-    index = STGridIndex.build(dataset, _EPS_LOC, with_tokens=False)
-    users = dataset.users
-    registry = MetricsRegistry()
-    previous = _obs.activate(registry)
-    try:
-        matched = [
-            pair_fn(index, users[i], users[j], eps_doc, kernel)
-            for i in range(len(users))
-            for j in range(i)
-        ]
-    finally:
-        _obs.restore(previous)
-    counters = {
-        name: value
-        for name, value in registry.counter_values().items()
-        if not name.startswith("kernel.")
-    }
-    return matched, counters
-
-
-def _ppj_c(index, a, b, eps_doc, kernel):
-    return ppj_c_pair(index, a, b, _EPS_LOC, eps_doc, None, kernel=kernel)
-
-
-@settings(max_examples=25, deadline=None)
-@given(dataset=adversarial_datasets(), eps_doc=st.sampled_from([0.2, 0.5, 1.0]))
-def test_counted_kernels_match_scalar_funnel(dataset, eps_doc):
-    """With metrics active the numpy kernels count exactly like scalar."""
-    scalar_matched, scalar_counters = _counted_pairs(
-        dataset, eps_doc, "python", _ppj_c
-    )
-    numpy_matched, numpy_counters = _counted_pairs(
-        dataset, eps_doc, "numpy", _ppj_c
-    )
-    assert numpy_matched == scalar_matched
-    assert numpy_counters == scalar_counters
 
 
 def test_probe_path_parity_dense_cell():
-    """Packs above the small-join limit take the probe kernel; its
-    accounting (length/positional pruning, encounter order) must match
-    the scalar probe loop exactly on a dense single-cell workload."""
+    """Packs above the small-join limit take the PPJOIN probe loop; on a
+    dense single-cell workload its matched counts, counted or not, equal
+    the fused kernel's."""
     records = []
     for user in range(3):
         for i in range(45):  # 45*45 pairs >> the small-join limit
             toks = [_TOKENS[(user + i + j) % len(_TOKENS)] for j in range(3)]
             records.append((user, 0.005, 0.005, toks))
     dataset = STDataset.from_records(records)
-
-    def pair_b(index, a, b, eps_doc, kernel):
-        return ppj_b_pair(
-            index, a, b, _EPS_LOC, eps_doc, 0.1, 45, 45, None, kernel=kernel
-        )
-
-    for pair_fn in (_ppj_c, pair_b):
-        scalar_matched, scalar_counters = _counted_pairs(
-            dataset, 0.4, "python", pair_fn
-        )
-        numpy_matched, numpy_counters = _counted_pairs(
-            dataset, 0.4, "numpy", pair_fn
-        )
-        assert numpy_matched == scalar_matched
-        assert numpy_counters == scalar_counters
-    assert any(
-        n * n > 36 for n in (45,)
-    )  # guard: the workload really exceeds the small-join limit
+    index = STGridIndex.build(dataset, _EPS_LOC, with_tokens=False)
+    users = dataset.users
+    batch = kernels.batch_kernel_for(index, users)
+    fused = [
+        int(count)
+        for i in range(len(users))
+        for count in batch.row_counts(i, i + 1, len(users), _EPS_LOC ** 2, 0.4)
+    ]
+    pairs = [(i, j) for i in range(len(users)) for j in range(i + 1, len(users))]
+    plain = [ppj_c_pair(index, users[i], users[j], _EPS_LOC, 0.4) for i, j in pairs]
+    registry = MetricsRegistry()
+    previous = _obs.activate(registry)
+    try:
+        counted = [
+            ppj_c_pair(index, users[i], users[j], _EPS_LOC, 0.4) for i, j in pairs
+        ]
+    finally:
+        _obs.restore(previous)
+    assert plain == counted == fused
+    assert max(fused) > 0
+    counters = registry.counter_values()
+    # One cell, one probe join per pair, every candidate pair covered.
+    assert counters["funnel.cell_pairs"] == len(pairs)
+    assert counters["funnel.object_pairs"] == len(pairs) * 45 * 45
 
 
 # ---------------------------------------------------------------------------
-# whole-algorithm differentials: numpy vs python, results + counters
+# telemetry on and off: byte-identical results for every algorithm
 
 _JOIN_ALGOS = ("naive", "s-ppj-c", "s-ppj-b", "s-ppj-f", "s-ppj-d")
 _TOPK_ALGOS = ("topk-s-ppj-f", "topk-s-ppj-s", "topk-s-ppj-p", "topk-s-ppj-d")
@@ -205,26 +168,61 @@ _TOPK_ALGOS = ("topk-s-ppj-f", "topk-s-ppj-s", "topk-s-ppj-p", "topk-s-ppj-d")
 
 @pytest.fixture(scope="module")
 def diff_dataset():
-    return build_random_dataset(seed=207, n_users=10, max_objects=8)
+    # Clustered users, so every algorithm returns pairs at these thresholds.
+    return build_clustered_dataset(207, n_users=12)
+
+
+@pytest.mark.parametrize("algorithm", _JOIN_ALGOS)
+def test_join_identical_with_and_without_telemetry(diff_dataset, algorithm):
+    plain = stps_join(diff_dataset, 0.05, 0.3, 0.2, algorithm=algorithm)
+    observed = stps_join(
+        diff_dataset, 0.05, 0.3, 0.2, algorithm=algorithm,
+        telemetry=Telemetry(),
+    )
+    assert plain
+    assert _scores_hex(observed) == _scores_hex(plain)
+
+
+@pytest.mark.parametrize("algorithm", ("naive",) + _TOPK_ALGOS)
+def test_topk_identical_with_and_without_telemetry(diff_dataset, algorithm):
+    plain = topk_stps_join(diff_dataset, 0.05, 0.3, 5, algorithm=algorithm)
+    observed = topk_stps_join(
+        diff_dataset, 0.05, 0.3, 5, algorithm=algorithm,
+        telemetry=Telemetry(),
+    )
+    assert plain
+    assert _scores_hex(observed) == _scores_hex(plain)
+
+
+# ---------------------------------------------------------------------------
+# a leftover REPRO_KERNEL in the environment is inert
 
 
 def _env_runs(monkeypatch, fn):
     out = {}
-    for backend in ("numpy", "python"):
-        monkeypatch.setenv(kernels.KERNEL_ENV, backend)
-        out[backend] = fn()
+    for value in (None, "python", "numpy", "fortran"):
+        if value is None:
+            monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_KERNEL", value)
+        out[value] = fn()
     return out
+
+
+def _all_equal(runs):
+    first = runs[None]
+    return all(run == first for run in runs.values())
 
 
 @pytest.mark.parametrize("algorithm", _JOIN_ALGOS)
 def test_join_differential_env(diff_dataset, algorithm, monkeypatch):
     runs = _env_runs(
         monkeypatch,
-        lambda: stps_join(
-            diff_dataset, 0.05, 0.3, 0.2, algorithm=algorithm
+        lambda: _scores_hex(
+            stps_join(diff_dataset, 0.05, 0.3, 0.2, algorithm=algorithm)
         ),
     )
-    assert _scores_hex(runs["numpy"]) == _scores_hex(runs["python"])
+    assert _all_equal(runs)
 
 
 @pytest.mark.parametrize("algorithm", _JOIN_ALGOS)
@@ -234,11 +232,9 @@ def test_join_counter_drift_env(diff_dataset, algorithm, monkeypatch):
         pairs = stps_join(
             diff_dataset, 0.05, 0.3, 0.2, algorithm=algorithm, telemetry=tele
         )
-        return pairs, tele.work_counters()
+        return _scores_hex(pairs), tele.work_counters()
 
-    runs = _env_runs(monkeypatch, run)
-    assert _scores_hex(runs["numpy"][0]) == _scores_hex(runs["python"][0])
-    assert runs["numpy"][1] == runs["python"][1]
+    assert _all_equal(_env_runs(monkeypatch, run))
 
 
 @pytest.mark.parametrize("algorithm", _TOPK_ALGOS)
@@ -248,26 +244,26 @@ def test_topk_differential_env(diff_dataset, algorithm, monkeypatch):
         pairs = topk_stps_join(
             diff_dataset, 0.05, 0.3, 5, algorithm=algorithm, telemetry=tele
         )
-        return pairs, tele.work_counters()
+        return _scores_hex(pairs), tele.work_counters()
 
-    runs = _env_runs(monkeypatch, run)
-    assert _scores_hex(runs["numpy"][0]) == _scores_hex(runs["python"][0])
-    assert runs["numpy"][1] == runs["python"][1]
+    assert _all_equal(_env_runs(monkeypatch, run))
 
 
 def test_knn_differential_env(diff_dataset, monkeypatch):
     probe = diff_dataset.users[0]
     runs = _env_runs(
         monkeypatch,
-        lambda: similar_users(diff_dataset, probe, 0.05, 0.3, 4),
+        lambda: [
+            (u, s.hex())
+            for u, s in similar_users(diff_dataset, probe, 0.05, 0.3, 4)
+        ],
     )
-    assert [
-        (u, s.hex()) for u, s in runs["numpy"]
-    ] == [(u, s.hex()) for u, s in runs["python"]]
+    assert runs[None]
+    assert _all_equal(runs)
 
 
-def test_engine_backends_identical_under_numpy(diff_dataset, monkeypatch):
-    monkeypatch.setenv(kernels.KERNEL_ENV, "numpy")
+def test_engine_backends_identical_under_numpy(diff_dataset):
+    """The fused tier gives the sequential answer on every backend."""
     sequential = stps_join(diff_dataset, 0.05, 0.3, 0.2, algorithm="s-ppj-b")
     for kw in (
         {"workers": 2, "backend": "thread"},
@@ -280,27 +276,10 @@ def test_engine_backends_identical_under_numpy(diff_dataset, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# surfacing: report, explain and serve record the backend
+# the served ``kernel`` field is no longer read
 
 
-def test_report_and_explain_record_kernel(diff_dataset):
-    _pairs, report, explain = stps_join(
-        diff_dataset, 0.05, 0.3, 0.2, algorithm="s-ppj-c",
-        kernel="numpy", with_report=True, explain=True,
-    )
-    assert report.kernel == "numpy"
-    assert "numpy kernels" in report.summary()
-    assert explain.kernel == "numpy"
-    assert explain.as_dict()["kernel"] == "numpy"
-    # The backend-specific batch counter lives in its own bucket, never
-    # in the deterministic work counters the diff tooling gates on.
-    assert not any(
-        name.startswith("kernel.") for name in explain.work_dict()["counters"]
-    )
-    assert explain.kernel_counters.get("kernel.numpy_batches", 0) > 0
-
-
-def test_serve_records_kernel_backend(diff_dataset):
+def test_serve_ignores_kernel_field(diff_dataset):
     from repro.serve.service import JoinService
 
     service = JoinService()
@@ -309,13 +288,10 @@ def test_serve_records_kernel_backend(diff_dataset):
         "dataset": "d", "type": "join", "algorithm": "s-ppj-b",
         "eps_loc": 0.05, "eps_doc": 0.3, "eps_user": 0.2,
     }
-    # Explicit kernels: the server otherwise resolves via REPRO_KERNEL,
-    # which the CI matrix pins to either backend.
-    numpy_response = service.query(dict(request, kernel="numpy"))
-    python_response = service.query(dict(request, kernel="python"))
-    assert numpy_response["kernel"] == "numpy"
-    assert python_response["kernel"] == "python"
-    assert numpy_response["pairs"] == python_response["pairs"]
-    body = service.metrics_text()
-    assert "repro_serve_kernel_numpy_total 1" in body
-    assert "repro_serve_kernel_python_total 1" in body
+    plain = service.query(request)
+    # An unknown field: same cache entry, same payload, no echo.
+    with_field = service.query(dict(request, kernel="python"))
+    assert "kernel" not in plain
+    assert with_field["pairs"] == plain["pairs"]
+    assert with_field["cached"] is True
+    assert "serve_kernel" not in service.metrics_text()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Telemetry
 from repro.core.pair_eval import (
     PairEvalStats,
     join_object_lists,
@@ -12,6 +13,7 @@ from repro.core.pair_eval import (
     ppj_c_pair,
 )
 from repro.core.similarity import matched_object_count, matched_objects, set_similarity
+from repro.obs import runtime as _obs
 from repro.stindex.stgrid import STGridIndex
 from tests.helpers import build_random_dataset
 
@@ -37,10 +39,15 @@ class TestJoinObjectLists:
     def test_stats_counters(self, tiny_dataset):
         du1 = tiny_dataset.user_objects("u1")
         du3 = tiny_dataset.user_objects("u3")
-        stats = PairEvalStats()
-        join_object_lists(du1, du3, 0.005, 0.3, set(), set(), stats)
-        assert stats.cell_joins == 1
-        assert stats.object_pairs == len(du1) * len(du3)
+        tele = Telemetry()
+        previous = _obs.activate(tele.metrics)
+        try:
+            join_object_lists(du1, du3, 0.005, 0.3, set(), set())
+        finally:
+            _obs.restore(previous)
+        counters = tele.work_counters()
+        assert counters["funnel.cell_pairs"] == 1
+        assert counters["funnel.object_pairs"] == len(du1) * len(du3)
 
     @given(st.integers(0, 200))
     @settings(max_examples=40, deadline=None)

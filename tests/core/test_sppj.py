@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import STDataset, STPSJoinQuery, naive_stps_join, stps_join
+from repro import STDataset, STPSJoinQuery, Telemetry, naive_stps_join, stps_join
 from repro.core.pair_eval import PairEvalStats
 from repro.core.query import pairs_to_dict
 from repro.stindex.leaf_index import STLeafIndex
@@ -153,10 +153,12 @@ class TestAlgorithmInternals:
     def test_sppj_f_prunes_pairs_entirely(self):
         """S-PPJ-F must evaluate fewer cell joins than S-PPJ-C."""
         ds = build_random_dataset(2, n_users=15, extent=10.0)
-        stats_c, stats_f = PairEvalStats(), PairEvalStats()
-        stps_join(ds, 0.05, 0.5, 0.5, algorithm="s-ppj-c", stats=stats_c)
-        stps_join(ds, 0.05, 0.5, 0.5, algorithm="s-ppj-f", stats=stats_f)
-        assert stats_f.cell_joins <= stats_c.cell_joins
+        tele_c, tele_f = Telemetry(), Telemetry()
+        stps_join(ds, 0.05, 0.5, 0.5, algorithm="s-ppj-c", telemetry=tele_c)
+        stps_join(ds, 0.05, 0.5, 0.5, algorithm="s-ppj-f", telemetry=tele_f)
+        cells_c = tele_c.work_counters().get("funnel.cell_pairs", 0)
+        cells_f = tele_f.work_counters().get("funnel.cell_pairs", 0)
+        assert cells_f <= cells_c
 
     def test_sppj_d_accepts_prebuilt_index(self):
         ds = build_clustered_dataset(4, n_users=8)

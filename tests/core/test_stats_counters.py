@@ -1,10 +1,12 @@
-"""Coherence of the PairEvalStats work counters across algorithms."""
+"""Coherence of the work counters across algorithms: the PairEvalStats
+user-pair counters, and the funnel's pair-level counters read through
+Telemetry."""
 
 import multiprocessing
 
 import pytest
 
-from repro import STPSJoinQuery, TopKQuery, stps_join, topk_stps_join
+from repro import STPSJoinQuery, Telemetry, TopKQuery, stps_join, topk_stps_join
 from repro.core.pair_eval import PairEvalStats
 from repro.core.similarity import set_similarity
 from repro.exec import JoinExecutor, get_plan
@@ -12,6 +14,13 @@ from repro.exec.plans import _user_bound
 from tests.helpers import build_clustered_dataset
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
+
+
+def _funnel(tele):
+    """The pair-level work counters (``funnel.*``) of a run."""
+    return {
+        k: v for k, v in tele.work_counters().items() if k.startswith("funnel.")
+    }
 
 
 class TestFilterCounters:
@@ -42,8 +51,6 @@ class TestFilterCounters:
         stats = PairEvalStats()
         d = stats.as_dict()
         assert set(d) == {
-            "cell_joins",
-            "object_pairs",
             "early_terminations",
             "candidates",
             "bound_pruned",
@@ -98,29 +105,36 @@ class TestTopKPSkips:
 class TestMerge:
     def test_merge_adds_counters(self):
         a, b = PairEvalStats(), PairEvalStats()
-        a.cell_joins, a.candidates = 3, 5
-        b.cell_joins, b.refinements = 4, 2
+        a.early_terminations, a.candidates = 3, 5
+        b.early_terminations, b.refinements = 4, 2
         a.merge(b.as_dict())
-        assert a.cell_joins == 7
+        assert a.early_terminations == 7
         assert a.candidates == 5
         assert a.refinements == 2
 
     def test_merge_ignores_unknown_keys(self):
         stats = PairEvalStats()
-        stats.merge({"cell_joins": 1, "not_a_counter": 99})
-        assert stats.cell_joins == 1
+        stats.merge({"candidates": 1, "not_a_counter": 99})
+        assert stats.candidates == 1
 
     def _parallel_counters_match(self, algorithm, backend, **kw):
         """Per-worker counters merged by the executor must equal an
         inline one-chunk run's — every pair's work is counted once."""
         ds = build_clustered_dataset(4, n_users=12)
         query = STPSJoinQuery(0.05, 0.3, 0.3)
-        sequential = PairEvalStats()
-        stps_join(ds, 0.05, 0.3, 0.3, algorithm=algorithm, stats=sequential)
-        merged = PairEvalStats()
+        sequential, seq_tele = PairEvalStats(), Telemetry()
+        stps_join(
+            ds, 0.05, 0.3, 0.3, algorithm=algorithm, stats=sequential,
+            telemetry=seq_tele,
+        )
+        merged, merged_tele = PairEvalStats(), Telemetry()
         executor = JoinExecutor(workers=3, backend=backend, chunk_size=2, **kw)
-        executor.join(ds, query, algorithm=algorithm, stats=merged)
+        executor.join(
+            ds, query, algorithm=algorithm, stats=merged, telemetry=merged_tele
+        )
         assert merged.as_dict() == sequential.as_dict()
+        assert _funnel(merged_tele) == _funnel(seq_tele)
+        assert _funnel(seq_tele)["funnel.cell_pairs"] > 0
 
     def test_executor_merge_lossless_sppj_f_thread(self):
         self._parallel_counters_match("s-ppj-f", "thread")
@@ -163,25 +177,30 @@ class TestMergeUnderRetries:
 
         ds = build_clustered_dataset(4, n_users=12)
         query = STPSJoinQuery(0.05, 0.3, 0.3)
-        sequential = PairEvalStats()
-        stps_join(ds, 0.05, 0.3, 0.3, algorithm="s-ppj-b", stats=sequential)
+        sequential, seq_tele = PairEvalStats(), Telemetry()
+        stps_join(
+            ds, 0.05, 0.3, 0.3, algorithm="s-ppj-b", stats=sequential,
+            telemetry=seq_tele,
+        )
 
         policy = ExecutionPolicy(
             backoff_base=0.001, backoff_jitter=0.0, **policy_kwargs
         )
-        merged = PairEvalStats()
+        merged, merged_tele = PairEvalStats(), Telemetry()
         install_fault_plan(FaultPlan.parse(plan_text))
         try:
             executor = JoinExecutor(
                 workers=3, backend=backend, chunk_size=2, policy=policy, **kw
             )
             _, report = executor.join(
-                ds, query, algorithm="s-ppj-b", stats=merged, with_report=True
+                ds, query, algorithm="s-ppj-b", stats=merged, with_report=True,
+                telemetry=merged_tele,
             )
         finally:
             clear_fault_plan()
         assert report.completeness == 1.0
         assert merged.as_dict() == sequential.as_dict()
+        assert _funnel(merged_tele) == _funnel(seq_tele)
         return report
 
     def test_retried_chunks_counted_once_thread(self):

@@ -55,6 +55,25 @@ def topk_query():
     return TopKQuery(eps_loc=0.05, eps_doc=0.2, k=7)
 
 
+def _count_evaluator_calls(monkeypatch):
+    """Tally every cell join the scalar evaluators run and the object
+    pairs it covers, independently of the funnel — the tallies the
+    removed ``PairEvalStats.cell_joins``/``object_pairs`` kept."""
+    from repro.core import pair_eval
+
+    tally = {"funnel.cell_pairs": 0, "funnel.object_pairs": 0}
+    for name in ("_join_small", "_probe_join"):
+        original = getattr(pair_eval, name)
+
+        def counted(pack_a, pack_b, *args, _original=original):
+            tally["funnel.cell_pairs"] += 1
+            tally["funnel.object_pairs"] += len(pack_a.oids) * len(pack_b.oids)
+            return _original(pack_a, pack_b, *args)
+
+        monkeypatch.setattr(pair_eval, name, counted)
+    return tally
+
+
 def _counters(dataset, query, algorithm, backend="sequential", workers=1,
               topk=False, **kwargs):
     tele = Telemetry()
@@ -106,14 +125,15 @@ class TestJoinConservation:
 
     @pytest.mark.parametrize("algorithm", FUNNEL_JOIN_ALGOS)
     def test_funnel_agrees_with_legacy_stats(
-        self, dataset, join_query, algorithm
+        self, dataset, join_query, algorithm, monkeypatch
     ):
-        """The funnel re-counts what PairEvalStats already counted."""
+        """The funnel counts exactly the cell joins the evaluators run and
+        the object pairs they cover (what PairEvalStats used to count)."""
+        calls = _count_evaluator_calls(monkeypatch)
         counters = _counters(dataset, join_query, algorithm)
-        assert counters["funnel.cell_pairs"] == counters["filter.cell_joins"]
-        assert (
-            counters["funnel.object_pairs"] == counters["filter.object_pairs"]
-        )
+        assert calls["funnel.cell_pairs"] > 0
+        assert counters["funnel.cell_pairs"] == calls["funnel.cell_pairs"]
+        assert counters["funnel.object_pairs"] == calls["funnel.object_pairs"]
 
     def test_conserved_under_faulty_retries(self, dataset, join_query):
         clean = _counters(dataset, join_query, "s-ppj-b")
@@ -133,12 +153,13 @@ class TestJoinConservation:
 
 class TestTopkConservation:
     @pytest.mark.parametrize("algorithm", TOPK_ALGOS)
-    def test_conserved(self, dataset, topk_query, algorithm):
+    def test_conserved(self, dataset, topk_query, algorithm, monkeypatch):
+        calls = _count_evaluator_calls(monkeypatch)
         counters = _counters(
             dataset, topk_query, algorithm, topk=True
         )
         assert_conserved(counters)
-        assert counters["funnel.cell_pairs"] == counters["filter.cell_joins"]
+        assert counters["funnel.cell_pairs"] == calls["funnel.cell_pairs"]
 
 
 class TestNaiveRecordsNoFunnel:
