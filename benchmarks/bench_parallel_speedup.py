@@ -105,7 +105,8 @@ def test_sequential_baseline(run_once):
 MAX_TELEMETRY_OVERHEAD = 0.05
 MAX_DISABLED_OVERHEAD = 0.01
 MAX_EXPLAIN_OVERHEAD = 0.05
-TELEMETRY_ROUNDS = 5
+#: Rounds of the paired telemetry estimate (every arm once per round).
+TELEMETRY_ROUNDS = 21
 #: The telemetry arms time S-PPJ-F: its plain and instrumented runs take
 #: the same scalar evaluator, so the gap is instrumentation alone (plain
 #: S-PPJ-C/B take the fused batch tier, which counts nothing, so their
@@ -126,29 +127,30 @@ def _explain_run(executor, dataset, query):
 
 
 def _telemetry_overhead(dataset, query):
-    """Best engine CPU time: no telemetry, disabled, enabled, explain.
+    """Per-arm telemetry overhead against no telemetry, paired by round.
 
-    All four run the sequential backend so the numbers isolate the
-    instrumentation cost from scheduling noise, and each is timed in
-    process CPU seconds: the run is single-threaded, so CPU time is its
-    whole cost, while wall-clock on a shared host also counts time
-    stolen by other tenants (it moved these arms by ±10% between runs on
-    a 2-vCPU VM, twice the 5% budget).  Rounds are interleaved
-    (none, disabled, enabled, explain, none, ...) so slow clock drift on
-    a busy host hits every configuration equally instead of whichever
-    block ran last, and each configuration reports its *minimum* across
-    rounds: host interference only ever slows a run down, so the min is
-    the estimate of intrinsic cost least contaminated by one-sided
-    noise.  The caller passes the grown main workload — the kernel-layer
-    speedups shrank the legacy 150-user run to a few hundred ms, where
-    scheduler jitter dwarfs the single-digit-percent budgets no
-    estimator can shake off.  A disabled Telemetry must be
-    indistinguishable from none at all (the engine short-circuits it);
-    the explain configuration additionally assembles the
-    :class:`repro.obs.ExplainReport` after the run.
+    Four arms — no telemetry, disabled, enabled, explain — all run the
+    sequential backend so the numbers isolate the instrumentation cost
+    from scheduling noise, and each is timed in process CPU seconds: the
+    run is single-threaded, so CPU time is its whole cost.  Each round
+    runs every arm once, in an order rotated by one position per round
+    so no arm always runs first or last, and each arm is scored by its
+    ratio to the ``none`` run *of the same round*: a slow stretch of the
+    host hits both sides of a ratio.  The estimate of an arm is the
+    median of its per-round ratios minus one — one outlier round moves a
+    median by one rank, not by its size.  With per-round ratios spread
+    by σ, the median's standard error is about
+    ``1.25 σ / sqrt(TELEMETRY_ROUNDS)``, so the 1% disabled budget is
+    resolved where σ is a few percent; the quartiles of the ratios are
+    returned so a report shows the resolution it had.
 
-    All four configurations run :data:`TELEMETRY_ALGORITHM`, so they
-    time the *same* evaluation path.
+    A disabled Telemetry must be indistinguishable from none at all (the
+    engine short-circuits it); the explain configuration additionally
+    assembles the :class:`repro.obs.ExplainReport` after the run.  All
+    four configurations run :data:`TELEMETRY_ALGORITHM`, so they time
+    the *same* evaluation path.
+
+    Returns ``({arm: median seconds}, {arm: overhead}, {arm: (q1, q3)})``.
     """
     executor = JoinExecutor(workers=1, backend="sequential")
     configs = {
@@ -167,13 +169,29 @@ def _telemetry_overhead(dataset, query):
     }
     for fn in configs.values():  # warm-up, untimed
         fn()
-    times = {name: [] for name in configs}
-    for _ in range(TELEMETRY_ROUNDS):
-        for name, fn in configs.items():
+    names = list(configs)
+    times = {name: [] for name in names}
+    ratios = {name: [] for name in names if name != "none"}
+    for round_no in range(TELEMETRY_ROUNDS):
+        shift = round_no % len(names)
+        spent = {}
+        for name in names[shift:] + names[:shift]:
             start = time.process_time()
-            fn()
-            times[name].append(time.process_time() - start)
-    return {name: min(vals) for name, vals in times.items()}
+            configs[name]()
+            spent[name] = time.process_time() - start
+        for name, seconds in spent.items():
+            times[name].append(seconds)
+        for name, values in ratios.items():
+            values.append(spent[name] / spent["none"])
+    overhead = {
+        name: statistics.median(values) - 1.0 for name, values in ratios.items()
+    }
+    quartiles = {}
+    for name, values in ratios.items():
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        quartiles[name] = (q1 - 1.0, q3 - 1.0)
+    medians = {name: statistics.median(values) for name, values in times.items()}
+    return medians, overhead, quartiles
 
 
 def _chunk_imbalance(report) -> float:
@@ -260,19 +278,21 @@ def main(argv=None) -> int:
     work_counters = legacy_tele.work_counters()
     print(f"  sequential ({NUM_USERS} users, legacy workload): {seq_150:8.3f}s")
 
-    best = _telemetry_overhead(dataset, query)
-    base = best["none"]
-    overhead_on = best["enabled"] / base - 1.0
-    overhead_off = best["disabled"] / base - 1.0
-    overhead_explain = best["explain"] / base - 1.0
+    medians, overhead, quartiles = _telemetry_overhead(dataset, query)
+    base = medians["none"]
+    overhead_on = overhead["enabled"]
+    overhead_off = overhead["disabled"]
+    overhead_explain = overhead["explain"]
     print(
-        f"telemetry ({TELEMETRY_ALGORITHM}, sequential backend, best of "
-        f"{TELEMETRY_ROUNDS}):"
+        f"telemetry ({TELEMETRY_ALGORITHM}, sequential backend, median of "
+        f"{TELEMETRY_ROUNDS} paired rounds, ratio quartiles in brackets):"
     )
     print(f"  none                     : {base:8.3f}s")
-    print(f"  disabled                 : {best['disabled']:8.3f}s  ({overhead_off:+.1%})")
-    print(f"  enabled                  : {best['enabled']:8.3f}s  ({overhead_on:+.1%})")
-    print(f"  explain                  : {best['explain']:8.3f}s  ({overhead_explain:+.1%})")
+    for name in ("disabled", "enabled", "explain"):
+        q1, q3 = quartiles[name]
+        print(
+            f"  {name:<25}: {overhead[name]:+8.1%}  [{q1:+.1%} .. {q3:+.1%}]"
+        )
 
     top_workers = max(worker_counts)
     base_workers = min(worker_counts)
@@ -300,13 +320,15 @@ def main(argv=None) -> int:
         phases={
             **{f"join_workers_{w}": t for w, t in times.items()},
             f"join_workers_1_users_{NUM_USERS}": seq_150,
-            "telemetry_none": base,
-            "telemetry_disabled": best["disabled"],
-            "telemetry_enabled": best["enabled"],
-            "telemetry_explain": best["explain"],
+            **{f"telemetry_{name}": t for name, t in medians.items()},
         },
         results={
             **results,
+            **{
+                f"telemetry_overhead_{name}_{edge}": value
+                for name, (q1, q3) in quartiles.items()
+                for edge, value in (("q1", q1), ("q3", q3))
+            },
             **{
                 f"chunk_imbalance_workers_{w}": v
                 for w, v in imbalances.items()

@@ -32,7 +32,7 @@ so numpy and Python agree bit-for-bit on every match decision.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -89,11 +89,13 @@ class PairBatchKernel:
 
     Built once per (index, user order) and reused across queries — the
     resident join server's warm indexes keep theirs alive between HTTP
-    requests.  All state is derived from the index's cell contents:
+    requests.  All state is gathered from the dataset's columns and the
+    cell of every object the index's bulk build computed:
 
-    * packed per-object columns (float64 coordinates, int32 doc lengths,
+    * packed per-object columns (float64 coordinates, doc lengths,
       vocabulary token-id arrays flattened with offsets, first/last token
-      per doc, per-user oid codes), objects sorted by (user, cell id);
+      per doc), objects sorted by (user, cell id) with one
+      lexsort and the token ids gathered with one vectorized CSR slice;
     * a per-cell table (padded scalar cell id, owning user, object range);
     * the **combo table**: every ordered pair of occupied cells belonging
       to different users at grid Chebyshev distance <= 1, sorted by
@@ -105,64 +107,52 @@ class PairBatchKernel:
     """
 
     def __init__(self, index, users: Sequence) -> None:
+        if index.columns is None:
+            raise ValueError(
+                "the batch kernel needs a grid index from STGridIndex.build"
+            )
         self.users = tuple(users)
         self.n_users = len(self.users)
-        grid = index.grid
-        pad_w = grid.ncols + 1
+        dataset, oids, cols, rows = index.columns
+        pad_w = index.grid.ncols + 1
 
-        xs: List[float] = []
-        ys: List[float] = []
-        lens: List[int] = []
-        firsts: List[int] = []
-        lasts: List[int] = []
-        tok_parts: List[Tuple[int, ...]] = []
-        oid_codes: List[int] = []
-        cell_pid: List[int] = []
-        cell_user: List[int] = []
-        cell_start: List[int] = []
-        cell_cnt: List[int] = []
+        # One stable sort of the indexed objects by (user position, cell
+        # id) — the index's D^c_u lists, oid order kept within each.
+        rank = dataset.user_ranks(self.users)[dataset.user_pos[oids]]
+        keep = np.flatnonzero(rank >= 0)
+        perm = keep[np.lexsort((cols[keep], rows[keep], rank[keep]))]
+        rank, cols, rows, oids = rank[perm], cols[perm], rows[perm], oids[perm]
+        n = len(oids)
 
-        for upos, user in enumerate(self.users):
-            seen_oids: Dict[object, int] = {}
-            for cell in index.user_cells(user):
-                objs = index.cell_objects(cell, user)
-                if not objs:
-                    continue
-                col, row = cell
-                cell_pid.append(row * pad_w + col)
-                cell_user.append(upos)
-                cell_start.append(len(xs))
-                cell_cnt.append(len(objs))
-                for obj in objs:
-                    code = seen_oids.setdefault(obj.oid, len(xs))
-                    oid_codes.append(code)
-                    xs.append(obj.x)
-                    ys.append(obj.y)
-                    doc = obj.doc
-                    lens.append(len(doc))
-                    firsts.append(doc[0] if doc else -1)
-                    lasts.append(doc[-1] if doc else -1)
-                    tok_parts.append(doc)
-
-        self.xs = np.asarray(xs, dtype=np.float64)
-        self.ys = np.asarray(ys, dtype=np.float64)
-        self.lens = np.asarray(lens, dtype=np.int64)
-        self.tok_first = np.asarray(firsts, dtype=np.int64)
-        self.tok_last = np.asarray(lasts, dtype=np.int64)
-        self.oid_code = np.asarray(oid_codes, dtype=np.int64)
+        self.xs = dataset.xs[oids]
+        self.ys = dataset.ys[oids]
+        starts = dataset.tok_off[oids]
+        ends = dataset.tok_off[oids + 1]
+        self.lens = ends - starts
+        # A -1 sentinel after the last token stands in for empty documents.
+        padded = np.append(dataset.tok_flat, -1).astype(np.int64)
+        empty = self.lens == 0
+        sentinel = len(dataset.tok_flat)
+        self.tok_first = padded[np.where(empty, sentinel, starts)]
+        self.tok_last = padded[np.where(empty, sentinel, ends - 1)]
         self.tok_off = _exclusive_cumsum(self.lens)
-        flat: List[int] = []
-        for doc in tok_parts:
-            flat.extend(doc)
-        self.tok_flat = np.asarray(flat, dtype=np.int64)
-        self.vocab_stride = int(self.tok_flat.max()) + 1 if len(flat) else 1
-        self.n_objects = len(xs)
+        total = int(self.lens.sum())
+        flat_pos = np.repeat(starts, self.lens) + (
+            np.arange(total, dtype=np.int64) - np.repeat(self.tok_off, self.lens)
+        )
+        self.tok_flat = dataset.tok_flat[flat_pos].astype(np.int64)
+        self.vocab_stride = int(self.tok_flat.max()) + 1 if total else 1
+        self.n_objects = n
 
-        cell_pid_arr = np.asarray(cell_pid, dtype=np.int64)
-        self.cell_user = np.asarray(cell_user, dtype=np.int64)
-        self.cell_start = np.asarray(cell_start, dtype=np.int64)
-        self.cell_cnt = np.asarray(cell_cnt, dtype=np.int64)
-        self._build_combos(cell_pid_arr, pad_w)
+        change = np.ones(n, dtype=bool)
+        change[1:] = (
+            (rank[1:] != rank[:-1]) | (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        )
+        self.cell_start = np.flatnonzero(change)
+        self.cell_cnt = np.diff(np.append(self.cell_start, n))
+        self.cell_user = rank[self.cell_start]
+        cell_pid = rows[self.cell_start] * pad_w + cols[self.cell_start]
+        self._build_combos(cell_pid, pad_w)
 
     def _build_combos(self, cell_pid, pad_w: int) -> None:
         """The global adjacency combo table (see class docstring).
@@ -259,9 +249,11 @@ class PairBatchKernel:
         if not len(ai):
             return out
 
+        # Each object sits in exactly one cell, so its position in the
+        # packed columns identifies it.
         stride = np.int64(self.n_objects)
         for side in (ai, bi):
-            keys = np.unique(partner * stride + self.oid_code[side])
+            keys = np.unique(partner * stride + side)
             counts = np.bincount(
                 (keys // stride) - j0, minlength=j1 - j0
             )
@@ -302,9 +294,10 @@ class PairBatchKernel:
 def batch_kernel_for(index, users: Sequence) -> PairBatchKernel:
     """The (cached) batch kernel of ``index`` for this exact user order.
 
-    Cached on the index and invalidated by ``add_user`` (the incremental
-    S-PPJ-F index mutates mid-join; batch evaluation only applies to
-    bulk-built indexes).
+    Cached on the index and invalidated by ``add_user``: the kernel
+    gathers its columns from a bulk build's per-object cells
+    (``index.columns``), so only :meth:`STGridIndex.build
+    <repro.stindex.stgrid.STGridIndex.build>` indexes have one.
     """
     cached = getattr(index, "_batch_kernel", None)
     users = tuple(users)

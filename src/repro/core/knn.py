@@ -38,13 +38,11 @@ def similar_users(
     Zero-similarity users never qualify; fewer than ``k`` results are
     returned when fewer users share any matching object with the probe.
 
-    ``index`` may supply a pre-built *full* grid index over the whole
-    dataset (every user, probe included, ``with_tokens=True``, matching
-    ``eps_loc``) — the warm-index path of the resident join server.  The
-    probe itself is filtered out of the candidate set; both the candidate
-    bound and the PPJ-B refinement depend only on the two users involved,
-    so results are byte-identical to the cold path, which builds the
-    index here.
+    The query probes a full grid index over the whole dataset (every
+    user, probe included, ``with_tokens=True``) and drops the probe from
+    its own candidates.  ``index`` may supply that index pre-built —
+    the warm-index path of the resident join server — otherwise it is
+    built here; both routes run the same code.
 
     Raises ``ValueError`` for an unknown probe user, non-positive ``k``,
     or a prebuilt index that does not match ``eps_loc``.
@@ -55,66 +53,34 @@ def similar_users(
     if not probe_objects:
         raise ValueError(f"unknown user (or user without objects): {user!r}")
 
-    prebuilt = index is not None
-    if prebuilt:
-        if index.eps_loc != float(eps_loc):
-            raise ValueError("prebuilt index eps_loc does not match the query")
-        if not index.with_tokens:
-            raise ValueError(
-                "prebuilt grid index was built with with_tokens=False; "
-                "knn needs the per-cell token lists"
-            )
-        sizes = {
-            other: len(dataset.user_objects(other))
-            for other in dataset.users
-            if other != user
-        }
-    else:
-        index = STGridIndex(dataset.bounds, eps_loc, with_tokens=True)
-        sizes = {}
-        for other in dataset.users:
-            if other == user:
-                continue
-            objs = dataset.user_objects(other)
-            sizes[other] = len(objs)
-            index.add_user(other, objs)
+    if index is None:
+        index = STGridIndex.build(dataset, eps_loc, with_tokens=True)
+    elif index.eps_loc != float(eps_loc):
+        raise ValueError("prebuilt index eps_loc does not match the query")
+    elif not index.with_tokens:
+        raise ValueError(
+            "prebuilt grid index was built with with_tokens=False; "
+            "knn needs the per-cell token lists"
+        )
 
-    own_counts = {}
-    for obj in probe_objects:
-        cell = index.grid.cell_of(obj.x, obj.y)
-        own_counts[cell] = own_counts.get(cell, 0) + 1
-
-    candidates = collect_candidates(index, dataset, user)
-    # A full index contains the probe itself; it is never its own
-    # neighbour.  Everyone else's candidacy is index-content independent.
+    candidates = collect_candidates(index, user)
+    # The probe is never its own neighbour.
     candidates.pop(user, None)
     if stats is not None:
         stats.candidates += len(candidates)
 
+    size_probe = len(probe_objects)
+    sizes = {cand: len(dataset.user_objects(cand)) for cand in candidates}
     scored = []
     for cand, (own_cells, cand_cells) in candidates.items():
         bound = candidate_bound(
-            index,
-            user,
-            cand,
-            own_cells,
-            cand_cells,
-            len(probe_objects),
-            sizes[cand],
-            own_counts=own_counts,
+            index, user, cand, own_cells, cand_cells, size_probe, sizes[cand]
         )
         scored.append((bound, cand))
     # Best-bound-first: lets the k-th score rise fast and the tail stop early.
     scored.sort(key=lambda item: -item[0])
 
     heap = _TopKHeap(k)
-    size_probe = len(probe_objects)
-    # Add the probe user to the index so PPJ-B sees both users' cells.
-    # A prebuilt full index contains the probe already; inserting again
-    # would double its objects and corrupt the scores.
-    if not prebuilt:
-        index.add_user(user, probe_objects)
-
     for pos, (bound, cand) in enumerate(scored):
         threshold = heap.threshold
         if bound <= threshold:

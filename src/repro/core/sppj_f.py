@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Set, Tuple
 
 from ..stindex.stgrid import STGridIndex
-from .model import STDataset, UserId
+from .model import UserId
 
 __all__ = ["collect_candidates", "candidate_bound"]
 
@@ -29,31 +29,26 @@ CellCoord = Tuple[int, int]
 
 def collect_candidates(
     index: STGridIndex,
-    dataset: STDataset,
     user: UserId,
     pos: Optional[Dict[UserId, int]] = None,
     limit: int = 0,
 ) -> Dict[UserId, Tuple[Set[CellCoord], Set[CellCoord]]]:
     """Filter step of Algorithm 2 (lines 4-9) for ``user``.
 
-    Returns, per candidate user in the index, the pair
-    ``(M^u cells of `user`, M^{u'} cells of the candidate)``.  With
-    ``pos``, only users at positions below ``limit`` are kept — probing a
-    full index this way yields exactly the candidates an index holding
-    only the users before ``limit`` would.
+    ``user`` must be in ``index``: its per-cell token signatures
+    (:meth:`STGridIndex.user_tokens`) are the probes.  Returns, per
+    candidate user in the index, the pair ``(M^u cells of `user`, M^{u'}
+    cells of the candidate)``; ``user`` itself is a candidate whenever it
+    has a token, and callers drop it.  With ``pos``, only users at
+    positions below ``limit`` are kept — probing a full index this way
+    yields exactly the candidates an index holding only the users before
+    ``limit`` would.
     """
     candidates: Dict[UserId, Tuple[Set[CellCoord], Set[CellCoord]]] = {}
-    cell_tokens: Dict[CellCoord, Set[int]] = {}
-    for obj in dataset.user_objects(user):
-        cell = index.grid.cell_of(obj.x, obj.y)
-        cell_tokens.setdefault(cell, set()).update(obj.doc)
-    for cell, tokens in cell_tokens.items():
+    for cell, tokens in index.user_tokens(user).items():
         if not tokens:
             continue
-        for other_cell in index.relevant_cells(cell):
-            token_map = index.cell_token_users(other_cell)
-            if not token_map:
-                continue
+        for other_cell, token_map in index.relevant_token_maps(cell):
             for token in tokens:
                 for cand in token_map.get(token, ()):
                     if pos is not None and pos[cand] >= limit:
@@ -75,15 +70,13 @@ def candidate_bound(
     cand_cells: Set[CellCoord],
     size_user: int,
     size_cand: int,
-    own_counts: Optional[Dict[CellCoord, int]] = None,
 ) -> float:
     """The optimistic similarity bound ``sigma_bar`` (Algorithm 2, line 13)."""
     total = size_user + size_cand
     if total == 0:
         return 0.0
-    if own_counts is None:
-        own = sum(index.cell_user_count(c, user) for c in own_cells)
-    else:
-        own = sum(own_counts.get(c, 0) for c in own_cells)
-    other = sum(index.cell_user_count(c, candidate) for c in cand_cells)
+    own_groups = index.user_groups(user)
+    cand_groups = index.user_groups(candidate)
+    own = sum(len(own_groups[c]) for c in own_cells)
+    other = sum(len(cand_groups[c]) for c in cand_cells)
     return (own + other) / total

@@ -23,7 +23,7 @@ the timestamp check into PPJ-B's object-level joins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Hashable, Iterable, List, Optional, Tuple
 
 from ..stindex.stgrid import STGridIndex
 from .model import STDataset, STObject, UserId
@@ -114,14 +114,11 @@ def temporal_stps_join(
     results: List[UserPair] = []
 
     for user in dataset.users:
-        objects = dataset.user_objects(user)
-        own_counts: Dict[Tuple[int, int], int] = {}
-        for obj in objects:
-            cell = index.grid.cell_of(obj.x, obj.y)
-            own_counts[cell] = own_counts.get(cell, 0) + 1
-
-        candidates = collect_candidates(index, dataset, user)
-        index.add_user(user, objects)
+        # Filed before probing so its cell signatures exist; the users
+        # already in the index are exactly the earlier ones.
+        index.add_user(user, dataset.user_objects(user))
+        candidates = collect_candidates(index, user)
+        candidates.pop(user, None)
         if stats is not None:
             stats.candidates += len(candidates)
 
@@ -134,7 +131,6 @@ def temporal_stps_join(
                 cand_cells,
                 sizes[user],
                 sizes[cand],
-                own_counts=own_counts,
             )
             if bound < query.eps_user:
                 if stats is not None:

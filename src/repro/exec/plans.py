@@ -422,15 +422,6 @@ def _shard_state(dataset: STDataset, query, index, order, **extra):
     }
 
 
-def _own_cell_counts(index: STGridIndex, dataset: STDataset, user: UserId):
-    """``{cell: |D^c_u|}`` of ``user``, for :func:`candidate_bound`."""
-    counts: Dict[Tuple[int, int], int] = {}
-    for obj in dataset.user_objects(user):
-        cell = index.grid.cell_of(obj.x, obj.y)
-        counts[cell] = counts.get(cell, 0) + 1
-    return counts
-
-
 def _record_shard(reg, evaluated: int, emitted: int, cand_seconds: float) -> None:
     """Fold one chunk's candidate tallies into the active registry."""
     if reg is not None:
@@ -624,7 +615,6 @@ class SPPJFPlan(_UserShardPlan):
         )
 
     def run_chunk(self, state, chunk, stats):
-        dataset: STDataset = state["dataset"]
         index: STGridIndex = state["index"]
         order, pos, sizes = state["order"], state["pos"], state["sizes"]
         query: STPSJoinQuery = state["query"]
@@ -635,10 +625,9 @@ class SPPJFPlan(_UserShardPlan):
         out: List[UserPair] = []
         for p in chunk:
             user = order[p]
-            own_counts = _own_cell_counts(index, dataset, user)
             if reg is not None:
                 started = time.perf_counter()
-            candidates = collect_candidates(index, dataset, user, pos, p)
+            candidates = collect_candidates(index, user, pos, p)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)
@@ -653,7 +642,6 @@ class SPPJFPlan(_UserShardPlan):
                     cand_cells,
                     sizes[user],
                     sizes[cand],
-                    own_counts=own_counts,
                 )
                 if bound < query.eps_user:
                     if stats is not None:
@@ -881,7 +869,6 @@ class _TopKGridPlan(_TopKShardPlan):
         return False
 
     def run_chunk(self, state, chunk, stats):
-        dataset: STDataset = state["dataset"]
         index: STGridIndex = state["index"]
         order, pos, rank = state["order"], state["pos"], state["rank"]
         sizes = state["sizes"]
@@ -897,10 +884,9 @@ class _TopKGridPlan(_TopKShardPlan):
                 if stats is not None:
                     stats.users_skipped += 1
                 continue
-            own_counts = _own_cell_counts(index, dataset, user)
             if reg is not None:
                 started = time.perf_counter()
-            candidates = collect_candidates(index, dataset, user, pos, p)
+            candidates = collect_candidates(index, user, pos, p)
             if reg is not None:
                 cand_seconds += time.perf_counter() - started
                 n_evaluated += len(candidates)
@@ -917,7 +903,6 @@ class _TopKGridPlan(_TopKShardPlan):
                     cand_cells,
                     sizes[user],
                     sizes[cand],
-                    own_counts=own_counts,
                 )
                 if bound < threshold:
                     if stats is not None:
@@ -994,7 +979,7 @@ class TopKPPlan(_TopKGridPlan):
         if max_prev == 0:
             return False
         bound = _user_bound(
-            state["index"], state["dataset"], order[p], state["pos"], p,
+            state["index"], order[p], state["pos"], p,
             sizes[order[p]], max_prev,
         )
         # Strict: a user whose bound ties the threshold may still own a
@@ -1004,7 +989,6 @@ class TopKPPlan(_TopKGridPlan):
 
 def _user_bound(
     index: STGridIndex,
-    dataset: STDataset,
     user: UserId,
     pos: Dict[UserId, int],
     p: int,
@@ -1019,14 +1003,9 @@ def _user_bound(
     order, ``(m_u + d_max) / (|Du| + d_max)`` upper-bounds the similarity
     of ``user`` with every earlier user.
     """
-    by_cell: Dict[Tuple[int, int], list] = {}
-    for obj in dataset.user_objects(user):
-        by_cell.setdefault(index.grid.cell_of(obj.x, obj.y), []).append(obj)
     potentially_matched = 0
-    for cell, objs in by_cell.items():
-        token_maps = [
-            index.cell_token_users(other) for other in index.relevant_cells(cell)
-        ]
+    for cell, objs in index.user_groups(user).items():
+        token_maps = [maps for _, maps in index.relevant_token_maps(cell)]
         for obj in objs:
             if _seen_before(token_maps, obj.doc, pos, p):
                 potentially_matched += 1

@@ -52,11 +52,7 @@ class PreparedDataset:
         with self._lock:
             index = self._grids.get(eps_loc)
             if index is None:
-                index = STGridIndex(
-                    self.dataset.bounds, eps_loc, with_tokens=True
-                )
-                for user in self.dataset.users:
-                    index.add_user(user, self.dataset.user_objects(user))
+                index = STGridIndex.build(self.dataset, eps_loc, with_tokens=True)
                 self._grids[eps_loc] = index
             return index
 
@@ -79,6 +75,14 @@ class PreparedDataset:
                 )
                 self._leaves[key] = index
             return index
+
+    def drop_caches(self) -> None:
+        """Drop the lazily built caches of every warm grid index; the
+        indexes stay registered and rebuild them on use."""
+        with self._lock:
+            grids = list(self._grids.values())
+        for index in grids:
+            index.drop_caches()
 
     def index_stats(self) -> dict:
         """How many warm indexes this dataset currently holds."""
@@ -167,6 +171,13 @@ class DatasetRegistry:
                 return existing
             self._datasets[name] = prepared
             return prepared
+
+    def drop_caches(self) -> None:
+        """:meth:`PreparedDataset.drop_caches` on every registered dataset."""
+        with self._lock:
+            prepared = list(self._datasets.values())
+        for entry in prepared:
+            entry.drop_caches()
 
     def get(self, name: str) -> Optional[PreparedDataset]:
         with self._lock:

@@ -96,6 +96,9 @@ class JoinService:
         window_bucket_seconds: float = 10.0,
         window_buckets: int = 6,
     ) -> None:
+        # A registry passed in may be shared with other services; close()
+        # releases only one built here.
+        self._owns_registry = registry is None
         self.registry = registry if registry is not None else DatasetRegistry()
         self.cache = ResultCache(capacity=cache_capacity)
         self.admission = AdmissionController(
@@ -672,6 +675,16 @@ class JoinService:
         return self.admission.wait_idle(timeout=timeout)
 
     def close(self) -> None:
-        """Release resources (the audit log's file handle)."""
+        """Release resources: the audit log's file handle and, when the
+        service built its own registry, the lazily built caches of the
+        warm grid indexes (packs, prefix indexes, neighbour maps).
+
+        The datasets, their indexes and the result cache stay readable;
+        an index a caller still holds rebuilds what a later query
+        touches.  A registry passed in may be shared with services still
+        serving, so it is left as it is.
+        """
         if self.audit is not None:
             self.audit.close()
+        if self._owns_registry:
+            self.registry.drop_caches()

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Tuple
 
+import numpy as np
+
 from .geometry import Rect
 
 __all__ = ["UniformGrid", "CellCoord"]
@@ -99,6 +101,21 @@ class UniformGrid:
         elif row >= self.nrows:
             row = self.nrows - 1
         return (col, row)
+
+    def cells_of(self, xs, ys) -> Tuple[np.ndarray, np.ndarray]:
+        """Vectorized :meth:`cell_of`: int64 ``(cols, rows)`` arrays.
+
+        The same float floor division and the same clamping, so every
+        point lands in exactly the cell :meth:`cell_of` gives it —
+        points on a cell edge go to the upper cell, points on the
+        upper/right border to the last column/row.
+        """
+        cols = np.floor_divide(np.asarray(xs) - self.bounds.min_x, self.cell_size)
+        rows = np.floor_divide(np.asarray(ys) - self.bounds.min_y, self.cell_size)
+        return (
+            np.clip(cols, 0, self.ncols - 1).astype(np.int64),
+            np.clip(rows, 0, self.nrows - 1).astype(np.int64),
+        )
 
     def cell_id(self, cell: CellCoord) -> int:
         """Row-wise scalar id of ``cell`` (bottom row first, Figure 2)."""

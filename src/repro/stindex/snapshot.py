@@ -12,7 +12,7 @@ the join state into worker processes:
 Pickling a fully built :class:`~repro.stindex.stgrid.STGridIndex` or
 :class:`~repro.stindex.leaf_index.STLeafIndex` would ship every cell dict
 and inverted list; a :class:`DatasetSnapshot` instead captures only the
-canonical object records plus the token dictionary's internal arrays —
+dataset's own canonical columns plus the token dictionary's arrays —
 the minimal information from which :meth:`restore` rebuilds a dataset
 *identical* to the original (same oids, same token ids, same user order),
 without re-deriving the document-frequency ordering.  Workers then
@@ -22,11 +22,9 @@ results match the fork and sequential paths exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Tuple
+from typing import Hashable, Tuple
 
-import numpy as _np
-
-from ..core.model import STDataset, STObject, UserId
+from ..core.model import STDataset, UserId
 from ..textual.vocabulary import TokenDictionary
 
 __all__ = ["DatasetSnapshot"]
@@ -75,20 +73,15 @@ class DatasetSnapshot:
 
     @classmethod
     def capture(cls, dataset: STDataset) -> "DatasetSnapshot":
-        """Snapshot ``dataset``; the dataset is not modified."""
-        objs = dataset.objects
-        off = [0]
-        for o in objs:
-            off.append(off[-1] + len(o.doc))
-        flat = [t for o in objs for t in o.doc]
+        """Snapshot ``dataset``'s own columns; the dataset is not modified."""
         return cls(
-            tokens=tuple(dataset.vocab._id_to_token),
-            dfs=tuple(dataset.vocab._df),
-            users=tuple(o.user for o in objs),
-            xs=_np.array([o.x for o in objs], dtype=_np.float64),
-            ys=_np.array([o.y for o in objs], dtype=_np.float64),
-            tok_flat=_np.array(flat, dtype=_np.int32),
-            tok_off=_np.array(off, dtype=_np.int64),
+            tokens=dataset.vocab.tokens,
+            dfs=dataset.vocab.dfs,
+            users=dataset.object_users,
+            xs=dataset.xs,
+            ys=dataset.ys,
+            tok_flat=dataset.tok_flat,
+            tok_off=dataset.tok_off,
         )
 
     def restore(self) -> STDataset:
@@ -99,34 +92,14 @@ class DatasetSnapshot:
         arrays rather than re-counting document frequencies, so even
         df-tie orderings are preserved.
         """
-        vocab = TokenDictionary()
-        vocab._id_to_token = list(self.tokens)
-        vocab._df = list(self.dfs)
-        vocab._token_to_id = {t: i for i, t in enumerate(self.tokens)}
-
-        flat = self.tok_flat.tolist()
-        off = self.tok_off.tolist()
-        docs = tuple(
-            tuple(flat[off[i]:off[i + 1]]) for i in range(len(self.users))
+        return STDataset(
+            TokenDictionary.from_arrays(self.tokens, self.dfs),
+            self.users,
+            self.xs,
+            self.ys,
+            self.tok_off,
+            self.tok_flat,
         )
-        xs = self.xs.tolist()
-        ys = self.ys.tolist()
-
-        objects: List[STObject] = []
-        by_user: Dict[UserId, List[STObject]] = {}
-        for user, x, y, doc in zip(self.users, xs, ys, docs):
-            obj = STObject(
-                oid=len(objects),
-                user=user,
-                x=x,
-                y=y,
-                doc=doc,
-                doc_set=frozenset(doc),
-            )
-            objects.append(obj)
-            by_user.setdefault(user, []).append(obj)
-        users = sorted(by_user.keys(), key=lambda u: (str(type(u)), u))
-        return STDataset(objects, vocab, users, by_user)
 
     @property
     def num_objects(self) -> int:

@@ -15,7 +15,9 @@ a-time population that Algorithm 2 interleaves with candidate search.
 
 from __future__ import annotations
 
-from typing import AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..core.model import STDataset, STObject, UserId
 from ..obs import runtime as _obs
@@ -26,7 +28,12 @@ from ..textual.ppjoin import build_prefix_index
 __all__ = ["CellPack", "STGridIndex"]
 
 #: The shared (immutable) answer of a token lookup that misses.
-_NO_USERS: AbstractSet[UserId] = frozenset()
+_NO_USERS: Tuple[UserId, ...] = ()
+
+
+def _token_union(objs: Sequence[STObject]) -> Tuple[int, ...]:
+    """Sorted distinct token ids over a ``D^c_u`` list."""
+    return tuple(sorted({token for obj in objs for token in obj.doc}))
 
 
 class CellPack:
@@ -34,22 +41,22 @@ class CellPack:
 
     The pair evaluators touch an object's coordinates, oid, canonical
     document and cached ``doc_set`` millions of times per join; pulling
-    attributes off dataclass instances in the inner loop costs a dict
-    lookup each.  A pack hoists them into parallel lists once, so the
-    kernels index plain lists instead.  ``objs`` keeps the original
-    objects for the (rare) predicate hook.
+    attributes off object instances in the inner loop costs a lookup
+    each.  A pack hoists them into parallel columns once, so the kernels
+    index plain tuples instead.  ``objs`` is the ``D^c_u`` list itself,
+    not a copy, for the (rare) predicate hook; the index drops a pack
+    whenever its list grows.
     """
 
     __slots__ = ("objs", "oids", "xs", "ys", "docs", "doc_sets", "lens")
 
     def __init__(self, objs: Sequence[STObject]):
-        self.objs = list(objs)
-        self.oids = [o.oid for o in self.objs]
-        self.xs = [o.x for o in self.objs]
-        self.ys = [o.y for o in self.objs]
-        self.docs = [o.doc for o in self.objs]
-        self.doc_sets = [o.doc_set for o in self.objs]
-        self.lens = [len(o.doc) for o in self.objs]
+        self.objs = objs
+        # STObjects are tuples: one transpose yields every field column.
+        self.oids, _users, self.xs, self.ys, self.docs, self.doc_sets = (
+            zip(*objs) if objs else ((),) * 6
+        )
+        self.lens = tuple(map(len, self.docs))
 
     def __len__(self) -> int:
         return len(self.objs)
@@ -76,10 +83,21 @@ class STGridIndex:
         self.grid = UniformGrid(bounds, eps_loc)
         self.eps_loc = float(eps_loc)
         self.with_tokens = with_tokens
+        # One tuple per occupied cell, shared by every structure keyed by
+        # cells (duplicates of a small tuple add up over a warm index).
+        self._cells: Dict[CellCoord, CellCoord] = {}
         # cell -> user -> objects of that user in the cell (D^c_u).
         self._cell_objects: Dict[CellCoord, Dict[UserId, List[STObject]]] = {}
-        # cell -> token id -> users having the token in the cell.
-        self._cell_token_users: Dict[CellCoord, Dict[int, Set[UserId]]] = {}
+        # cell -> token id -> users having the token in the cell, in the
+        # order they were filed (a tuple: most lists hold one user, and a
+        # one-element set costs four times the memory).
+        self._cell_token_users: Dict[CellCoord, Dict[int, Tuple[UserId, ...]]] = {}
+        # user -> {cell -> D^c_u} over the user's cells, ascending by cell
+        # id; the lists are the ones _cell_objects holds.
+        self._user_groups: Dict[UserId, Dict[CellCoord, List[STObject]]] = {}
+        # user -> {cell -> sorted distinct token ids of D^c_u} (with_tokens
+        # only): the per-cell token signature the candidate probes iterate.
+        self._user_tokens: Dict[UserId, Dict[CellCoord, Tuple[int, ...]]] = {}
         # user -> cells containing the user's objects, sorted by cell id (Cu).
         self._user_cells: Dict[UserId, List[CellCoord]] = {}
         # user -> the scalar cell ids of _user_cells, same order (cached so
@@ -93,8 +111,19 @@ class STGridIndex:
             Tuple[CellCoord, UserId],
             Dict[float, Dict[int, List[Tuple[int, int]]]],
         ] = {}
+        # cell -> relevant_token_maps(cell), built on first probe; add_user
+        # drops the entries a newly occupied cell belongs to.
+        self._relevant_maps: Dict[
+            CellCoord, Tuple[Tuple[CellCoord, Dict[int, Tuple[UserId, ...]]], ...]
+        ] = {}
         # user -> {cell -> pack} over every occupied cell of the user.
         self._user_packs: Dict[UserId, Dict[CellCoord, CellPack]] = {}
+        #: ``(dataset, oids, cols, rows)`` of a bulk build: the indexed
+        #: objects (ascending oid) and their cells, which the batch kernel
+        #: gathers its columns from.  ``None`` once :meth:`add_user` runs.
+        self.columns: Optional[
+            Tuple[STDataset, np.ndarray, np.ndarray, np.ndarray]
+        ] = None
         # (user order, PairBatchKernel) built by repro.core.kernels for
         # the fused batch path; invalidated on any mutation.
         self._batch_kernel: Optional[Tuple[tuple, object]] = None
@@ -109,36 +138,139 @@ class STGridIndex:
         with_tokens: bool = True,
         users: Optional[Sequence[UserId]] = None,
     ) -> "STGridIndex":
-        """Bulk-build the index over ``dataset`` (optionally a user subset)."""
+        """Bulk-build the index over ``dataset`` (optionally a user subset).
+
+        Every object's cell comes from one vectorized pass over the
+        dataset's coordinate columns (:meth:`UniformGrid.cells_of`), and
+        one lexsort by (user, cell id) groups the objects into their
+        ``D^c_u`` lists, oid order kept.  Each list is then filed once:
+        its token signature goes into the cell's inverted lists, one
+        entry per distinct token.  The result holds exactly what
+        :meth:`add_user` would build, user by user in ``users`` order.
+        """
         with _obs.phase("index.build.grid"):
             index = cls(dataset.bounds, eps_loc, with_tokens=with_tokens)
-            for user in users if users is not None else dataset.users:
-                index.add_user(user, dataset.user_objects(user))
+            cols, rows = index.grid.cells_of(dataset.xs, dataset.ys)
+            if users is None:
+                order = dataset.users
+                rank = dataset.user_pos
+                oids = np.arange(len(rank), dtype=np.int64)
+            else:
+                order = list(users)
+                rank = dataset.user_ranks(order)[dataset.user_pos]
+                oids = np.flatnonzero(rank >= 0)
+                rank, cols, rows = rank[oids], cols[oids], rows[oids]
+            index.columns = (dataset, oids, cols, rows)
+            perm = np.lexsort((cols, rows, rank))
+            index._file_groups(
+                dataset.objects, order, oids[perm], rank[perm], cols[perm], rows[perm]
+            )
         return index
+
+    def _file_groups(self, objects, order, sel, rank, cols, rows) -> None:
+        """Fill the index from oids ``sel`` sorted by (user rank, row, col)."""
+        n = len(sel)
+        if not n:
+            return
+        change = np.ones(n, dtype=bool)
+        change[1:] = (
+            (rank[1:] != rank[:-1]) | (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        )
+        starts = np.flatnonzero(change)
+        bounds = starts.tolist() + [n]
+        picked = list(map(objects.__getitem__, sel.tolist()))
+        ncols = self.grid.ncols
+        with_tokens = self.with_tokens
+        canon = self._cells
+        cell_objects = self._cell_objects
+        cell_token_users = self._cell_token_users
+        last = -1
+        for g, (r, col, row) in enumerate(
+            zip(rank[starts].tolist(), cols[starts].tolist(), rows[starts].tolist())
+        ):
+            if r != last:
+                user, last = order[r], r
+                groups = self._user_groups[user] = {}
+                cells = self._user_cells[user] = []
+                ids = self._user_cell_ids[user] = []
+                if with_tokens:
+                    signatures = self._user_tokens[user] = {}
+            cell = (col, row)
+            cell = canon.setdefault(cell, cell)
+            objs = groups[cell] = picked[bounds[g]:bounds[g + 1]]
+            cells.append(cell)
+            ids.append(row * ncols + col)
+            per_cell = cell_objects.get(cell)
+            if per_cell is None:
+                cell_objects[cell] = {user: objs}
+            else:
+                per_cell[user] = objs
+            if not with_tokens:
+                continue
+            tokens = signatures[cell] = (
+                objs[0].doc if len(objs) == 1 else _token_union(objs)
+            )
+            token_map = cell_token_users.get(cell)
+            if token_map is None:
+                token_map = cell_token_users[cell] = {}
+            for token in tokens:
+                users = token_map.get(token)
+                token_map[token] = (user,) if users is None else users + (user,)
 
     def add_user(self, user: UserId, objects: Iterable[STObject]) -> None:
         """Insert every object of ``user`` (``G.addUser`` in Algorithm 2)."""
-        cells: Set[CellCoord] = set()
+        groups = self._user_groups.setdefault(user, {})
+        cell_of = self.grid.cell_of
+        grown: Set[CellCoord] = set()
         for obj in objects:
-            cell = self.grid.cell_of(obj.x, obj.y)
-            cells.add(cell)
-            self._cell_objects.setdefault(cell, {}).setdefault(user, []).append(obj)
+            cell = cell_of(obj.x, obj.y)
+            cell = self._cells.setdefault(cell, cell)
+            objs = groups.get(cell)
+            if objs is None:
+                objs = groups[cell] = []
+                self._cell_objects.setdefault(cell, {})[user] = objs
+            objs.append(obj)
+            grown.add(cell)
             if self.with_tokens:
-                token_map = self._cell_token_users.setdefault(cell, {})
+                token_map = self._cell_token_users.get(cell)
+                if token_map is None:
+                    token_map = self._cell_token_users[cell] = {}
+                    for near in self.grid.relevant_cells(cell):
+                        self._relevant_maps.pop(near, None)
                 for token in obj.doc:
-                    token_map.setdefault(token, set()).add(user)
-        ordered = sorted(cells, key=self.grid.cell_id)
-        if user in self._user_cells:
-            merged = set(self._user_cells[user]) | cells
-            ordered = sorted(merged, key=self.grid.cell_id)
+                    users = token_map.get(token, _NO_USERS)
+                    if user not in users:
+                        token_map[token] = users + (user,)
+        if self.with_tokens:
+            signatures = self._user_tokens.setdefault(user, {})
+            for cell in grown:
+                signatures[cell] = _token_union(groups[cell])
+        cell_id = self.grid.cell_id
+        ordered = sorted(groups, key=cell_id)
+        self._user_groups[user] = {cell: groups[cell] for cell in ordered}
         self._user_cells[user] = ordered
-        self._user_cell_ids[user] = [self.grid.cell_id(c) for c in ordered]
+        self._user_cell_ids[user] = [cell_id(c) for c in ordered]
         # Drop cached packs/prefix indexes for the (cell, user) lists that
         # just grew; they are rebuilt lazily on next access.
-        for cell in cells:
+        for cell in grown:
             self._packs.pop((cell, user), None)
             self._prefix_indexes.pop((cell, user), None)
         self._user_packs.pop(user, None)
+        self._batch_kernel = None
+        self.columns = None
+
+    def drop_caches(self) -> None:
+        """Forget every lazily built structure: the CellPacks, prefix
+        indexes, neighbour token maps and the batch kernel.
+
+        The index stays complete and usable; a later query rebuilds what
+        it touches.  A server calls this when it closes, so an index a
+        caller still references holds only its filed lists.
+        """
+        self._packs.clear()
+        self._user_packs.clear()
+        self._prefix_indexes.clear()
+        self._relevant_maps.clear()
         self._batch_kernel = None
 
     def occupancy(self) -> dict:
@@ -175,6 +307,21 @@ class STGridIndex:
     def user_cells(self, user: UserId) -> List[CellCoord]:
         """Cells containing objects of ``user``, ascending by cell id (Cu)."""
         return self._user_cells.get(user, [])
+
+    def user_groups(self, user: UserId) -> Dict[CellCoord, List[STObject]]:
+        """``{cell -> D^c_u}`` over the cells of ``user``, by cell id.
+
+        The per-user grouping the candidate probes and bounds read, so no
+        query re-derives an object's cell.  Empty for unknown users.
+        """
+        return self._user_groups.get(user, {})
+
+    def user_tokens(self, user: UserId) -> Dict[CellCoord, Tuple[int, ...]]:
+        """``{cell -> sorted distinct tokens of D^c_u}``: each cell's
+        token signature, computed once when the user is filed."""
+        if not self.with_tokens:
+            raise RuntimeError("index built without token lists")
+        return self._user_tokens.get(user, {})
 
     def user_cell_ids(self, user: UserId) -> List[int]:
         """Scalar cell ids of :meth:`user_cells`, in the same order."""
@@ -265,7 +412,7 @@ class STGridIndex:
         per_user = self._cell_objects.get(cell)
         return list(per_user.keys()) if per_user else []
 
-    def cell_token_users(self, cell: CellCoord) -> Dict[int, Set[UserId]]:
+    def cell_token_users(self, cell: CellCoord) -> Dict[int, Tuple[UserId, ...]]:
         """The inverted list of ``cell``: token id -> users having it there.
 
         One lookup per cell lets a probe over many tokens skip the
@@ -275,8 +422,31 @@ class STGridIndex:
             raise RuntimeError("index built without token lists")
         return self._cell_token_users.get(cell) or {}
 
-    def token_users(self, cell: CellCoord, token: int) -> AbstractSet[UserId]:
-        """``G.getTokenUsers``: users whose objects in ``cell`` contain ``token``."""
+    def relevant_token_maps(
+        self, cell: CellCoord
+    ) -> Tuple[Tuple[CellCoord, Dict[int, Tuple[UserId, ...]]], ...]:
+        """``(cell', inverted list of cell')`` over the relevant cells of
+        ``cell`` that have one, in :meth:`relevant_cells` order.
+
+        What every candidate probe of ``cell`` walks; cached per cell, so
+        repeated probes skip the neighbour enumeration and the empty
+        cells.
+        """
+        maps = self._relevant_maps.get(cell)
+        if maps is None:
+            if not self.with_tokens:
+                raise RuntimeError("index built without token lists")
+            canon, lists = self._cells, self._cell_token_users
+            maps = self._relevant_maps[cell] = tuple(
+                (canon[other], lists[other])
+                for other in self.grid.relevant_cells(cell)
+                if other in lists
+            )
+        return maps
+
+    def token_users(self, cell: CellCoord, token: int) -> Tuple[UserId, ...]:
+        """``G.getTokenUsers``: users whose objects in ``cell`` contain
+        ``token``, in the order they were filed (empty on a miss)."""
         if not self.with_tokens:
             raise RuntimeError("index built without token lists")
         token_map = self._cell_token_users.get(cell)

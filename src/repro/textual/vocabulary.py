@@ -11,7 +11,17 @@ id tuples all join code in this library operates on.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Sequence,
+    Tuple,
+)
 
 __all__ = ["TokenDictionary", "encode_corpus"]
 
@@ -35,16 +45,39 @@ class TokenDictionary:
     @classmethod
     def build(cls, documents: Iterable[Iterable[Hashable]]) -> "TokenDictionary":
         """Build a dictionary from a corpus of keyword collections."""
-        counts: Counter = Counter()
-        for doc in documents:
-            counts.update(set(doc))
+        return cls.from_counts(Counter(chain.from_iterable(map(set, documents))))
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[Hashable, int]) -> "TokenDictionary":
+        """Build a dictionary from per-token document frequencies."""
+        # Two stable sorts with C-level keys: by str, then by df.
+        tokens = sorted(sorted(counts, key=str), key=counts.__getitem__)
+        return cls.from_arrays(tokens, list(map(counts.__getitem__, tokens)))
+
+    @classmethod
+    def from_arrays(
+        cls, tokens: Sequence[Hashable], dfs: Sequence[int]
+    ) -> "TokenDictionary":
+        """Reassemble a dictionary from its id-ordered tokens and dfs.
+
+        No re-counting and no re-sorting, so df-tie orderings survive
+        exactly (the inverse of :attr:`tokens` / :attr:`dfs`).
+        """
         vocab = cls()
-        ordering = sorted(counts.items(), key=lambda kv: (kv[1], str(kv[0])))
-        for token, df in ordering:
-            vocab._token_to_id[token] = len(vocab._id_to_token)
-            vocab._id_to_token.append(token)
-            vocab._df.append(df)
+        vocab._id_to_token = list(tokens)
+        vocab._df = list(dfs)
+        vocab._token_to_id = {t: i for i, t in enumerate(vocab._id_to_token)}
         return vocab
+
+    @property
+    def tokens(self) -> Tuple[Hashable, ...]:
+        """Every token, in id order."""
+        return tuple(self._id_to_token)
+
+    @property
+    def dfs(self) -> Tuple[int, ...]:
+        """Document frequency of every token, in id order."""
+        return tuple(self._df)
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -72,6 +105,10 @@ class TokenDictionary:
         """
         mapping = self._token_to_id
         return tuple(sorted({mapping[token] for token in doc}))
+
+    def ids_of(self, tokens: Iterable[Hashable]) -> List[int]:
+        """Id of every token of a flat token stream, in stream order."""
+        return list(map(self._token_to_id.__getitem__, tokens))
 
     def encode_partial(self, doc: Iterable[Hashable]) -> Doc:
         """Like :meth:`encode` but silently drops unknown tokens."""

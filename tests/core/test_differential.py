@@ -11,10 +11,14 @@ algorithms on several threshold grids.
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
-from repro import STDataset, stps_join, topk_stps_join
+from repro import STDataset, Telemetry, stps_join, topk_stps_join
 from repro.core.query import STPSJoinQuery, pairs_to_dict
+from repro.stindex.stgrid import STGridIndex
 from tests.helpers import DifferentialConfig, build_differential_dataset
 
 JOIN_ALGOS = ["s-ppj-c", "s-ppj-b", "s-ppj-f", "s-ppj-d"]
@@ -169,3 +173,56 @@ class TestDegenerateCases:
         )
         for algorithm in ["naive"] + JOIN_ALGOS:
             assert _join(dataset, (0.5, 0.3, 0.1), algorithm) == []
+
+
+GRID_JOIN_ALGOS = ["s-ppj-c", "s-ppj-b", "s-ppj-f"]
+GRID_TOPK_ALGOS = ["topk-s-ppj-f", "topk-s-ppj-s", "topk-s-ppj-p"]
+
+
+def _counted(dataset, eps, algorithm, **kwargs):
+    """Results and work counters of one instrumented run."""
+    telemetry = Telemetry()
+    if algorithm.startswith("topk-"):
+        pairs = topk_stps_join(
+            dataset, eps[0], eps[1], 5, algorithm=algorithm,
+            telemetry=telemetry, **kwargs,
+        )
+    else:
+        pairs = _join(dataset, eps, algorithm, telemetry=telemetry, **kwargs)
+    rows = [[repr(p.user_a), repr(p.user_b), repr(p.score)] for p in pairs]
+    return rows, sorted(telemetry.work_counters().items())
+
+
+class TestWorkCounterParity:
+    """The columnar build must not move a single unit of work."""
+
+    def test_results_and_counters_pinned(self):
+        """Results plus every ``funnel.*``/``pairs.*``/``filter.*`` counter
+        of every join and top-k algorithm on every config and grid.  The
+        digest was recorded with the record-by-record dataset and the
+        object-at-a-time grid build; any drift is a behaviour change."""
+        rows = []
+        for config in CONFIGS:
+            dataset = build_differential_dataset(config)
+            for eps in EPS_GRIDS:
+                for algorithm in JOIN_ALGOS + TOPK_ALGOS:
+                    result, counters = _counted(dataset, eps, algorithm)
+                    rows.append([config.seed, list(eps), algorithm, result, counters])
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == (
+            "8084903fd206fd3a6d7d9bf84929ebec25e04cc940e5e71d29e4b84a6108e5c8"
+        )
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: f"seed{c.seed}")
+    def test_incremental_index_same_work(self, config):
+        """An index filled user by user with ``add_user`` drives every
+        grid algorithm through exactly the work of the bulk build."""
+        dataset = build_differential_dataset(config)
+        for eps in EPS_GRIDS:
+            index = STGridIndex(dataset.bounds, eps[0], with_tokens=True)
+            for user in dataset.users:
+                index.add_user(user, dataset.user_objects(user))
+            for algorithm in GRID_JOIN_ALGOS + GRID_TOPK_ALGOS:
+                assert _counted(dataset, eps, algorithm, index=index) == _counted(
+                    dataset, eps, algorithm
+                ), (eps, algorithm)

@@ -123,6 +123,33 @@ def test_batch_kernel_matches_scalar_joins(dataset, q):
         )
 
 
+def test_kernel_gathers_any_user_order_from_the_columns():
+    """The kernel sorts the build's cell columns by the *given* user
+    order; a permuted order and a user subset count the same matches."""
+    dataset = build_clustered_dataset(5, n_users=10)
+    index = STGridIndex.build(dataset, _EPS_LOC, with_tokens=False)
+    order = list(reversed(dataset.users))[:7]
+    batch = kernels.batch_kernel_for(index, order)
+    assert batch.n_objects == sum(len(dataset.user_objects(u)) for u in order)
+    matched = 0
+    for i in range(len(order)):
+        counts = batch.row_counts(i, 0, len(order), _EPS_LOC ** 2, 0.3)
+        for j, count in enumerate(counts.tolist()):
+            if j != i:
+                assert count == ppj_c_pair(index, order[i], order[j], _EPS_LOC, 0.3)
+                matched += count
+    assert matched  # the orders were compared on real matches
+
+
+def test_kernel_needs_a_bulk_built_index():
+    dataset = build_clustered_dataset(5, n_users=4)
+    index = STGridIndex(dataset.bounds, _EPS_LOC, with_tokens=False)
+    for user in dataset.users:
+        index.add_user(user, dataset.user_objects(user))
+    with pytest.raises(ValueError, match="STGridIndex.build"):
+        kernels.batch_kernel_for(index, dataset.users)
+
+
 def test_probe_path_parity_dense_cell():
     """Packs above the small-join limit take the PPJOIN probe loop; on a
     dense single-cell workload its matched counts, counted or not, equal

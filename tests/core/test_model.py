@@ -164,3 +164,60 @@ class TestValidateMethod:
             ]
         )
         assert ds.validate() is ds
+
+
+class TestColumns:
+    def test_columns_match_objects(self, dataset):
+        assert dataset.xs.tolist() == [o.x for o in dataset.objects]
+        assert dataset.ys.tolist() == [o.y for o in dataset.objects]
+        assert list(dataset.object_users) == [o.user for o in dataset.objects]
+        assert [dataset.users[p] for p in dataset.user_pos.tolist()] == [
+            o.user for o in dataset.objects
+        ]
+        off = dataset.tok_off.tolist()
+        flat = dataset.tok_flat.tolist()
+        assert [tuple(flat[a:b]) for a, b in zip(off, off[1:])] == [
+            o.doc for o in dataset.objects
+        ]
+
+    def test_objects_are_immutable(self, dataset):
+        with pytest.raises(AttributeError):
+            dataset.objects[0].x = 9.0
+
+
+class TestFingerprint:
+    """Serve cache keys are fingerprints: the bytes must never drift.
+
+    The pinned values were computed by the record-by-record
+    implementation the columnar dataset replaced.
+    """
+
+    def test_pinned_synthetic(self):
+        from repro.datasets.synthetic import (
+            GEOTEXT_LIKE,
+            TWITTER_LIKE,
+            generate_dataset,
+        )
+
+        twitter = generate_dataset(TWITTER_LIKE, seed=3, num_users=12)
+        geotext = generate_dataset(GEOTEXT_LIKE, seed=5, num_users=20)
+        assert twitter.fingerprint() == "ccfcffd90d7150e3"
+        assert geotext.fingerprint() == "939d73dcd106eb78"
+
+    def test_pinned_mixed_types(self):
+        ds = STDataset.from_records(
+            [
+                (1, 0.5, 0.25, {"a", 7}),
+                ("1", 0.5, 0.25, {"a"}),
+                (2, -1e-9, 3.0, []),
+                (1, 0.1, 0.2, {7, "7"}),
+            ]
+        )
+        assert ds.fingerprint() == "69193c7bc2f4e73b"
+
+    def test_record_order_and_token_ids_do_not_matter(self, dataset):
+        records = [
+            (o.user, o.x, o.y, dataset.vocab.decode(o.doc))
+            for o in reversed(dataset.objects)
+        ]
+        assert STDataset.from_records(records).fingerprint() == dataset.fingerprint()

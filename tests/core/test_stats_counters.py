@@ -89,7 +89,7 @@ class TestTopKPSkips:
         for p in range(1, len(order)):
             user = order[p]
             bound = _user_bound(
-                state["index"], ds, user, state["pos"], p, sizes[user],
+                state["index"], user, state["pos"], p, sizes[user],
                 sizes[order[p - 1]],
             )
             for earlier in order[:p]:

@@ -92,3 +92,103 @@ class TestValidation:
         path.write_text("u\t0.0\t0.0\t\n")
         ds = load_tsv(path)
         assert ds.objects[0].doc == ()
+
+
+class TestColumnarLoader:
+    """The one-pass column loader keeps the line-by-line reader's results
+    and error messages."""
+
+    def _load(self, tmp_path, data: bytes):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(data)
+        return path, load_tsv(path)
+
+    def test_crlf_same_as_lf(self, tmp_path):
+        lines = ["u\t0.5\t0.25\ta,b", "v\t1.5\t2.0\tb,c"]
+        _, lf = self._load(tmp_path, ("\n".join(lines) + "\n").encode())
+        _, crlf = self._load(tmp_path, ("\r\n".join(lines) + "\r\n").encode())
+        assert crlf.objects == lf.objects
+        assert crlf.fingerprint() == lf.fingerprint()
+
+    def test_no_trailing_newline(self, tmp_path):
+        _, ds = self._load(tmp_path, b"u\t0.5\t0.25\ta\nv\t1.0\t1.0\tb")
+        assert ds.num_objects == 2
+        assert ds.vocab.decode(ds.objects[1].doc) == frozenset({"b"})
+
+    def test_blank_lines_anywhere(self, tmp_path):
+        _, ds = self._load(tmp_path, b"\n\nu\t0.5\t0.25\ta\n\n\nv\t1.0\t1.0\tb\n\n")
+        assert [o.user for o in ds.objects] == ["u", "v"]
+
+    def test_duplicate_and_empty_keywords(self, tmp_path):
+        _, ds = self._load(tmp_path, b"u\t0.0\t0.0\ta,,b,a,\n")
+        assert ds.vocab.decode(ds.objects[0].doc) == frozenset({"a", "b"})
+        assert len(ds.objects[0].doc) == 2
+
+    def test_empty_keyword_field_among_others(self, tmp_path):
+        _, ds = self._load(tmp_path, b"u\t0.0\t0.0\t\nv\t1.0\t1.0\tk\n")
+        assert ds.objects[0].doc == () and ds.objects[0].doc_set == frozenset()
+        assert ds.vocab.df("k") == 1
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_same_message_as_from_records(self, tmp_path, bad):
+        from repro.errors import DatasetValidationError
+
+        path = tmp_path / "d.tsv"
+        path.write_text(f"u\t0.0\t0.0\ta\n\nv\t{bad}\t1.0\tb\nw\t2.0\t{bad}\tc\n")
+        with pytest.raises(DatasetValidationError) as loaded:
+            load_tsv(path)
+        with pytest.raises(DatasetValidationError) as built:
+            STDataset.from_records(
+                [
+                    ("u", 0.0, 0.0, {"a"}),
+                    ("v", float(bad), 1.0, {"b"}),
+                    ("w", 2.0, float(bad), {"c"}),
+                ]
+            )
+        assert loaded.value.problems == built.value.problems
+        assert loaded.value.problems == [
+            f"record 1 (user 'v'): non-finite coordinates ({float(bad)!r}, 1.0)",
+            f"record 2 (user 'w'): non-finite coordinates (2.0, {float(bad)!r})",
+        ]
+
+    def test_wrong_field_count_names_the_line(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("u\t0.0\t0.0\ta\n\nv\t1.0\t1.0\n")
+        with pytest.raises(ValueError) as err:
+            load_tsv(path)
+        assert str(err.value) == (
+            f"{path}:3: expected 4 tab-separated fields, got 3"
+        )
+
+    def test_too_many_fields(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("u\t0.0\t0.0\ta\tb\n")
+        with pytest.raises(ValueError, match=r":1: expected 4 tab-separated fields"):
+            load_tsv(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        # A bad float on line 1 is met before the short line 2, and a bad
+        # y on line 1 before a bad x on line 2.
+        path = tmp_path / "d.tsv"
+        path.write_text("u\tzz\t0.0\ta\nv\t1.0\n")
+        with pytest.raises(ValueError, match="to float: 'zz'"):
+            load_tsv(path)
+        path.write_text("u\t0.0\tyy\ta\nv\txx\t1.0\tb\n")
+        with pytest.raises(ValueError, match="to float: 'yy'"):
+            load_tsv(path)
+
+    def test_equals_from_records(self, tmp_path):
+        original = generate_dataset(TWITTER_LIKE, seed=4, num_users=15)
+        path = tmp_path / "d.tsv"
+        save_tsv(original, path)
+        loaded = load_tsv(path)
+        records = []
+        for line in path.read_text().splitlines():
+            user, x, y, keywords = line.split("\t")
+            records.append((user, float(x), float(y), keywords.split(",")))
+        built = STDataset.from_records(records)
+        assert loaded.objects == built.objects
+        assert loaded.vocab.tokens == built.vocab.tokens
+        assert loaded.vocab.dfs == built.vocab.dfs
+        assert loaded.users == built.users
+        assert loaded.fingerprint() == built.fingerprint()

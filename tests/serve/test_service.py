@@ -17,6 +17,7 @@ from repro.core.api import JOIN_ALGORITHMS, TOPK_ALGORITHMS
 from repro.core.knn import similar_users
 from repro.serve import (
     AdmissionRejected,
+    DatasetRegistry,
     JoinService,
     QueryError,
     UnknownDatasetError,
@@ -287,3 +288,44 @@ class TestFingerprint:
         index_b = prepared.grid_index(EPS_LOC)
         assert index_a is index_b
         assert prepared.index_stats()["grid_indexes"] == 1
+
+
+class TestClose:
+    def _join(self, svc):
+        return svc.query(
+            {
+                "type": "join",
+                "dataset": "demo",
+                "algorithm": "s-ppj-f",
+                "eps_loc": EPS_LOC,
+                "eps_doc": EPS_DOC,
+                "eps_user": EPS_USER,
+            }
+        )
+
+    def test_close_drops_own_index_caches(self, service, dataset):
+        first = self._join(service)
+        assert first["pairs"]
+        index = service.registry.get("demo").grid_index(EPS_LOC)
+        assert index._packs and index._relevant_maps
+        service.close()
+        assert not index._packs and not index._relevant_maps
+        assert not index._prefix_indexes and not index._user_packs
+        # Datasets, indexes and cached results stay readable.
+        assert service.registry.get("demo").grid_index(EPS_LOC) is index
+        assert len(service.cache) == 1
+        user = dataset.users[0]
+        assert similar_users(
+            dataset, user, EPS_LOC, EPS_DOC, K, index=index
+        ) == similar_users(dataset, user, EPS_LOC, EPS_DOC, K)
+
+    def test_close_keeps_a_shared_registry(self, dataset):
+        shared = DatasetRegistry()
+        owner = JoinService(registry=shared)
+        owner.register_dataset("demo", dataset)
+        guest = JoinService(registry=shared)
+        expected = self._join(guest)
+        index = shared.get("demo").grid_index(EPS_LOC)
+        guest.close()
+        assert index._packs and index._relevant_maps
+        assert self._join(owner)["pairs"] == expected["pairs"]

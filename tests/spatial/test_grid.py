@@ -1,7 +1,9 @@
 """Tests for the uniform grid, including the PPJ-B snake-coverage invariant."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -70,6 +72,54 @@ class TestAddressing:
     def test_point_inside_its_cell_rect(self, x, y):
         grid = UniformGrid(Rect(0, 0, 5, 4), 1.0)
         assert grid.cell_rect(grid.cell_of(x, y)).contains_point(x, y)
+
+
+class TestVectorizedAddressing:
+    """``cells_of`` must put every point where ``cell_of`` does."""
+
+    @staticmethod
+    def _agree(grid, xs, ys):
+        cols, rows = grid.cells_of(
+            np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+        )
+        assert cols.dtype == rows.dtype == np.int64
+        expected = [grid.cell_of(x, y) for x, y in zip(xs, ys)]
+        assert list(zip(cols.tolist(), rows.tolist())) == expected
+
+    def test_cell_edges_and_clamped_border(self, grid_5x4):
+        edges = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        points = list(itertools.product(edges, edges[:5]))
+        points += [(5.0, 4.0), (4.999999999999999, 3.9999999999999996)]
+        points += [(-1.0, 10.0), (7.5, -3.0)]
+        xs, ys = zip(*points)
+        self._agree(grid_5x4, xs, ys)
+
+    def test_inexact_cell_size_edges(self):
+        # 0.1 is not exact in binary: k * 0.1 lands either side of an edge.
+        grid = UniformGrid(Rect(0.0, 0.0, 1.0, 0.7), 0.1)
+        xs = [k * 0.1 for k in range(11)] + [0.30000000000000004, 0.7, 1.0]
+        ys = [min(0.7, k * 0.07) for k in range(11)] + [0.7, 0.7, 0.7]
+        self._agree(grid, xs, ys)
+
+    def test_offset_bounds(self):
+        grid = UniformGrid(Rect(-0.37, 12.5, 0.91, 13.0), 0.004)
+        rng = random.Random(3)
+        xs = [rng.uniform(-0.37, 0.91) for _ in range(500)] + [-0.37, 0.91]
+        ys = [rng.uniform(12.5, 13.0) for _ in range(500)] + [12.5, 13.0]
+        self._agree(grid, xs, ys)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1, 6, allow_nan=False), st.floats(-1, 5, allow_nan=False)
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_random_points(self, points):
+        xs, ys = zip(*points)
+        self._agree(UniformGrid(Rect(0, 0, 5, 4), 0.7), xs, ys)
 
 
 class TestNeighbourhoods:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.knn import similar_users
 from repro.stindex.stgrid import STGridIndex
 from tests.helpers import build_random_dataset
 
@@ -50,6 +51,47 @@ class TestConstruction:
         for user in dataset.users:
             assert incr.user_cells(user) == bulk.user_cells(user)
 
+    @pytest.mark.parametrize("with_tokens", [True, False])
+    def test_bulk_build_files_what_add_user_files(self, dataset, with_tokens):
+        """The vectorized build and the incremental path agree on every
+        structure, object order and inverted-list content included."""
+        bulk = STGridIndex.build(dataset, 0.2, with_tokens=with_tokens)
+        incr = STGridIndex(dataset.bounds, 0.2, with_tokens=with_tokens)
+        for user in dataset.users:
+            incr.add_user(user, dataset.user_objects(user))
+        assert bulk._cell_objects == incr._cell_objects
+        for user in dataset.users:
+            assert bulk.user_groups(user) == incr.user_groups(user)
+            assert list(bulk.user_groups(user)) == bulk.user_cells(user)
+            assert bulk.user_cell_ids(user) == incr.user_cell_ids(user)
+        if with_tokens:
+            assert bulk._cell_token_users == incr._cell_token_users
+            for user in dataset.users:
+                assert bulk.user_tokens(user) == incr.user_tokens(user)
+                for cell, objs in bulk.user_groups(user).items():
+                    union = sorted({t for o in objs for t in o.doc})
+                    assert list(bulk.user_tokens(user)[cell]) == union
+
+    def test_user_subset_build_matches_add_user(self, dataset):
+        subset = [dataset.users[3], dataset.users[0], "ghost"]
+        bulk = STGridIndex.build(dataset, 0.2, users=subset)
+        incr = STGridIndex(dataset.bounds, 0.2)
+        for user in subset:
+            incr.add_user(user, dataset.user_objects(user))
+        assert bulk._cell_objects == incr._cell_objects
+        assert bulk._cell_token_users == incr._cell_token_users
+        assert bulk.user_groups(dataset.users[1]) == {}
+
+    def test_bulk_build_keeps_cell_columns(self, dataset):
+        index = STGridIndex.build(dataset, 0.2)
+        source, oids, cols, rows = index.columns
+        assert source is dataset
+        for oid, col, row in zip(oids.tolist(), cols.tolist(), rows.tolist()):
+            obj = dataset.objects[oid]
+            assert index.grid.cell_of(obj.x, obj.y) == (col, row)
+        index.add_user("late", [])
+        assert index.columns is None
+
     def test_user_subset_build(self, dataset):
         index = STGridIndex.build(dataset, 0.2, users=dataset.users[:2])
         assert index.user_cells(dataset.users[2]) == []
@@ -81,8 +123,48 @@ class TestTokenLists:
                 for token in tokens:
                     assert user in index.token_users(cell, token)
 
+    def test_relevant_token_maps(self, dataset, index):
+        for user in dataset.users:
+            for cell in index.user_cells(user):
+                maps = index.relevant_token_maps(cell)
+                assert [c for c, _ in maps] == [
+                    c
+                    for c in index.relevant_cells(cell)
+                    if c in index._cell_token_users
+                ]
+                for other, token_map in maps:
+                    assert token_map is index.cell_token_users(other)
+
+    def test_relevant_token_maps_follow_add_user(self, dataset):
+        index = STGridIndex(dataset.bounds, 0.2)
+        first, second = dataset.users[:2]
+        index.add_user(first, dataset.user_objects(first))
+        probes = {
+            c: list(index.relevant_token_maps(c)) for c in index.user_cells(first)
+        }
+        index.add_user(second, dataset.user_objects(second))
+        for cell in probes:
+            assert [c for c, _ in index.relevant_token_maps(cell)] == [
+                c for c in index.relevant_cells(cell) if c in index._cell_token_users
+            ]
+
+    def test_drop_caches_keeps_answers(self, dataset, index):
+        def answers():
+            return [
+                similar_users(dataset, user, 0.2, 0.3, 3, index=index)
+                for user in dataset.users
+            ]
+
+        before = answers()
+        assert index._packs and index._relevant_maps
+        index.drop_caches()
+        assert not index._packs and not index._user_packs
+        assert not index._prefix_indexes and not index._relevant_maps
+        assert index._batch_kernel is None
+        assert answers() == before
+
     def test_missing_token_empty(self, index):
-        assert index.token_users((0, 0), 999999) == set()
+        assert index.token_users((0, 0), 999999) == ()
 
     def test_without_tokens_raises(self, dataset):
         index = STGridIndex.build(dataset, 0.2, with_tokens=False)
