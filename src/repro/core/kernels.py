@@ -36,6 +36,8 @@ from typing import List, Sequence
 
 import numpy as np
 
+from ..stindex.stgrid import _RELEVANT_OFFSETS, _ranges
+
 __all__ = ["resolve_kernel", "PairBatchKernel", "batch_kernel_for"]
 
 #: Guard added to float bounds so rounding can only loosen a prune
@@ -49,12 +51,6 @@ def resolve_kernel() -> str:
 
 
 # -- fused batch evaluator ----------------------------------------------------------
-
-#: Neighbour deltas in padded-cell-id space are filled in per kernel
-#: (they depend on the grid width); this is the (dcol, drow) template.
-_NEIGHBOUR_TEMPLATE = tuple(
-    (dc, dr) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-)
 
 
 def _exclusive_cumsum(counts):
@@ -136,12 +132,8 @@ class PairBatchKernel:
         self.tok_first = padded[np.where(empty, sentinel, starts)]
         self.tok_last = padded[np.where(empty, sentinel, ends - 1)]
         self.tok_off = _exclusive_cumsum(self.lens)
-        total = int(self.lens.sum())
-        flat_pos = np.repeat(starts, self.lens) + (
-            np.arange(total, dtype=np.int64) - np.repeat(self.tok_off, self.lens)
-        )
-        self.tok_flat = dataset.tok_flat[flat_pos].astype(np.int64)
-        self.vocab_stride = int(self.tok_flat.max()) + 1 if total else 1
+        self.tok_flat = dataset.tok_flat[_ranges(starts, self.lens)].astype(np.int64)
+        self.vocab_stride = int(self.tok_flat.max()) + 1 if len(self.tok_flat) else 1
         self.n_objects = n
 
         change = np.ones(n, dtype=bool)
@@ -171,7 +163,8 @@ class PairBatchKernel:
 
         combo_a: List = []
         combo_b: List = []
-        for dc, dr in _NEIGHBOUR_TEMPLATE:
+        # Deltas in padded-cell-id space: a cell and its 8 neighbours.
+        for dc, dr in _RELEVANT_OFFSETS:
             delta = dr * pad_w + dc
             target = uniq + delta
             j = np.searchsorted(uniq, target)
@@ -283,11 +276,8 @@ class PairBatchKernel:
     def _gather_tokens(self, obj_idx, stride):
         """Flattened ``pair_rank * stride + token`` keys for an object list."""
         lens = self.lens[obj_idx]
-        total = int(lens.sum())
         pair_ids = np.repeat(np.arange(len(obj_idx), dtype=np.int64), lens)
-        flat_pos = np.repeat(self.tok_off[obj_idx], lens) + (
-            np.arange(total, dtype=np.int64) - np.repeat(_exclusive_cumsum(lens), lens)
-        )
+        flat_pos = _ranges(self.tok_off[obj_idx], lens)
         return pair_ids * stride + self.tok_flat[flat_pos], pair_ids
 
 

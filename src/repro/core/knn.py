@@ -2,23 +2,24 @@
 
 The paper's motivating applications (friend recommendation, finding local
 experts) usually ask for neighbours of *one* user rather than all pairs.
-This query reuses the S-PPJ-F machinery for a single probe: index every
-other user in the spatio-textual grid once, collect candidates through the
-per-cell token lists, order them by the optimistic bound ``sigma_bar``
-descending and refine with PPJ-B against the current k-th best score —
-once the next candidate's bound cannot beat that score, the search stops.
+This query reuses the S-PPJ-F machinery for a single probe: the probe's
+row of the grid's candidate table gives every candidate and its optimistic
+bound ``sigma_bar``; candidates are refined with PPJ-B in descending bound
+order (ties by rank) against the current k-th best score, and once the
+next bound falls below that score the search stops.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..stindex.stgrid import STGridIndex
 from .model import STDataset, UserId
 from .pair_eval import PairEvalStats, ppj_b_pair
-from .query import UserPair
+from .query import UserPair, pair_sort_key
 from .similarity import set_similarity
-from .sppj_f import candidate_bound, collect_candidates
 from .topk import _TopKHeap
 
 __all__ = ["similar_users", "naive_similar_users"]
@@ -38,14 +39,16 @@ def similar_users(
     Zero-similarity users never qualify; fewer than ``k`` results are
     returned when fewer users share any matching object with the probe.
 
-    The query probes a full grid index over the whole dataset (every
-    user, probe included, ``with_tokens=True``) and drops the probe from
-    its own candidates.  ``index`` may supply that index pre-built —
-    the warm-index path of the resident join server — otherwise it is
-    built here; both routes run the same code.
+    The query reads the probe's row of the candidate table of a full
+    grid index over the whole dataset (every user, probe included,
+    ``with_tokens=True``).  ``index`` may supply that index pre-built —
+    the warm-index path of the resident join server, which reads (and
+    on first use builds) the whole cached table.  Otherwise an index is
+    built here and only the probe's row is joined.  Score ties at the
+    k-th place break canonically, as in every top-k answer.
 
     Raises ``ValueError`` for an unknown probe user, non-positive ``k``,
-    or a prebuilt index that does not match ``eps_loc``.
+    or a prebuilt index that does not match ``eps_loc`` or the dataset.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -53,55 +56,48 @@ def similar_users(
     if not probe_objects:
         raise ValueError(f"unknown user (or user without objects): {user!r}")
 
+    # The index holds the dataset's users in dataset order, so the
+    # probe's table rank is its dataset position.
+    rank = int(dataset.user_pos[probe_objects[0].oid])
     if index is None:
-        index = STGridIndex.build(dataset, eps_loc, with_tokens=True)
-    elif index.eps_loc != float(eps_loc):
-        raise ValueError("prebuilt index eps_loc does not match the query")
-    elif not index.with_tokens:
-        raise ValueError(
-            "prebuilt grid index was built with with_tokens=False; "
-            "knn needs the per-cell token lists"
-        )
-
-    candidates = collect_candidates(index, user)
-    # The probe is never its own neighbour.
-    candidates.pop(user, None)
+        index = STGridIndex.build(dataset, eps_loc)
+        cand, num = index.candidate_row(rank)
+    else:
+        index.check_query(dataset, eps_loc, needs_filter=True)
+        cand, num = index.candidate_table().row(rank)
     if stats is not None:
-        stats.candidates += len(candidates)
+        stats.candidates += len(cand)
 
     size_probe = len(probe_objects)
-    sizes = {cand: len(dataset.user_objects(cand)) for cand in candidates}
-    scored = []
-    for cand, (own_cells, cand_cells) in candidates.items():
-        bound = candidate_bound(
-            index, user, cand, own_cells, cand_cells, size_probe, sizes[cand]
-        )
-        scored.append((bound, cand))
-    # Best-bound-first: lets the k-th score rise fast and the tail stop early.
-    scored.sort(key=lambda item: -item[0])
-
+    sizes = np.bincount(dataset.user_pos, minlength=dataset.num_users)
+    bounds = (num / (size_probe + sizes[cand])).tolist()
+    # Best-bound-first lets the k-th score rise fast and the tail stop
+    # early; ties by rank keep the refinement order deterministic.
+    scored = sorted(zip(bounds, cand.tolist()), key=lambda bc: (-bc[0], bc[1]))
+    users = dataset.users
     heap = _TopKHeap(k)
-    for pos, (bound, cand) in enumerate(scored):
+    for i, (bound, c) in enumerate(scored):
         threshold = heap.threshold
-        if bound <= threshold:
+        if bound < threshold:
             if stats is not None:
-                stats.bound_pruned += len(scored) - pos
+                stats.bound_pruned += len(scored) - i
             break  # bounds are sorted: nothing later can qualify either
         if stats is not None:
             stats.refinements += 1
+        other = users[c]
         score = ppj_b_pair(
             index,
-            cand,
+            other,
             user,
             eps_loc,
             eps_doc,
             threshold if threshold > 0.0 else 1e-12,
-            sizes[cand],
+            int(sizes[c]),
             size_probe,
             stats,
         )
-        if score > threshold and score > 0.0:
-            heap.offer(UserPair(user, cand, score))
+        if score > 0.0:
+            heap.offer(UserPair(user, other, score))
 
     return [(pair.user_b, pair.score) for pair in heap.results()]
 
@@ -113,7 +109,8 @@ def naive_similar_users(
     eps_doc: float,
     k: int,
 ) -> List[Tuple[UserId, float]]:
-    """Exhaustive oracle for :func:`similar_users`."""
+    """Exhaustive oracle for :func:`similar_users`: every other user's
+    sigma, ranked with the canonical pair order."""
     if k < 1:
         raise ValueError("k must be positive")
     probe_objects = dataset.user_objects(user)
@@ -127,6 +124,6 @@ def naive_similar_users(
             probe_objects, dataset.user_objects(other), eps_loc, eps_doc
         )
         if score > 0.0:
-            scored.append((other, score))
-    scored.sort(key=lambda item: -item[1])
-    return scored[:k]
+            scored.append(UserPair(user, other, score))
+    scored.sort(key=pair_sort_key)
+    return [(pair.user_b, pair.score) for pair in scored[:k]]

@@ -137,10 +137,11 @@ def _join_small(
     oids_b, xs_b, ys_b = pack_b.oids, pack_b.xs, pack_b.ys
     docs_b, sets_b, objs_b = pack_b.docs, pack_b.doc_sets, pack_b.objs
     lens_b = pack_b.lens
-    n_b = len(oids_b)
+    n_b = len(pack_b)
+    range_b = range(pack_b.lo, pack_b.hi)
     n_skip = n_empty = n_spatial = n_length = n_prefix = n_predicate = 0
     n_verified = n_matched = 0
-    for i in range(len(oids_a)):
+    for i in range(pack_a.lo, pack_a.hi):
         da = docs_a[i]
         la = len(da)
         if la == 0:
@@ -152,7 +153,7 @@ def _join_small(
         min_len = eps_doc * la - _EPS
         max_len = la / eps_doc + _EPS
         a_matched = oids_a[i] in matched_a
-        for j in range(n_b):
+        for j in range_b:
             if a_matched and oids_b[j] in matched_b:
                 n_skip += 1
                 continue
@@ -187,7 +188,7 @@ def _join_small(
     if reg is not None:
         flush_funnel(
             reg,
-            len(oids_a) * n_b,
+            len(pack_a) * n_b,
             skip=n_skip,
             empty=n_empty,
             spatial=n_spatial,
@@ -214,8 +215,9 @@ def _probe_join(
     """PPJOIN probe kernel: one pack probes the other's prefix index.
 
     ``index_map`` is a :func:`repro.textual.ppjoin.build_prefix_index`
-    structure over the indexed pack's documents (side selected by
-    ``index_is_b``) — usually the cached per-``(cell, user)`` index of
+    structure over the indexed pack's documents, by position in its
+    columns (side selected by ``index_is_b``) — usually the cached
+    per-``(cell, user)`` index of
     :meth:`repro.stindex.stgrid.STGridIndex.cell_prefix_index`.
     Candidate generation applies the size and positional filters exactly
     as :func:`repro.textual.ppjoin.similarity_rs_join`; verification then
@@ -236,14 +238,14 @@ def _probe_join(
     oids_a, xs_a, ys_a, sets_a = pack_a.oids, pack_a.xs, pack_a.ys, pack_a.doc_sets
     oids_b, xs_b, ys_b, sets_b = pack_b.oids, pack_b.xs, pack_b.ys, pack_b.doc_sets
     reg = _obs.active()
-    n_idx = len(index_lens)
+    n_idx = len(indexed)
     if reg is not None:
-        n_idx_empty = sum(1 for ly in index_lens if ly == 0)
+        n_idx_empty = index_lens[indexed.lo:indexed.hi].count(0)
         n_idx_filled = n_idx - n_idx_empty
     n_skip = n_empty = n_spatial = n_length = n_prefix = n_positional = 0
     n_predicate = n_verified = n_matches = 0
 
-    for x_idx in range(len(probe_docs)):
+    for x_idx in range(probe.lo, probe.hi):
         x = probe_docs[x_idx]
         lx = len(x)
         if lx == 0:
@@ -322,7 +324,7 @@ def _probe_join(
     if reg is not None:
         flush_funnel(
             reg,
-            len(probe_docs) * n_idx,
+            len(probe) * n_idx,
             skip=n_skip,
             empty=n_empty,
             spatial=n_spatial,
@@ -356,12 +358,12 @@ def _join_cell_packs(
     per-``(cell, user)`` cache, so repeated joins of the same cell list
     against different partner users never rebuild PPJOIN structures.
     """
-    if len(pack_a.oids) * len(pack_b.oids) <= _SMALL_JOIN_LIMIT:
+    if len(pack_a) * len(pack_b) <= _SMALL_JOIN_LIMIT:
         _join_small(
             pack_a, pack_b, eps_sq, eps_doc, matched_a, matched_b, predicate
         )
         return
-    if len(pack_b.oids) >= len(pack_a.oids):
+    if len(pack_b) >= len(pack_a):
         index_map = index.cell_prefix_index(cell_b, user_b, eps_doc)
         index_is_b = True
     else:
@@ -567,9 +569,9 @@ def ppj_b_pair(
         a_here = get_a(cell)
         b_here = get_b(cell)
         if a_here is not None:
-            seen += len(a_here.oids)
+            seen += len(a_here)
         if b_here is not None:
-            seen += len(b_here.oids)
+            seen += len(b_here)
         if a_here is not None and b_here is not None:
             _join_cell_packs(
                 index, cell, user_a, a_here, cell, user_b, b_here,

@@ -14,8 +14,8 @@ are then similar only when they were at similar places, writing similar
 things, at similar *times* — e.g. attendees of the same event rather than
 people who visit the same POI years apart.
 
-The evaluation reuses the S-PPJ-F machinery unchanged: the grid/token
-filter and the ``sigma_bar`` bound remain admissible because the temporal
+The evaluation is S-PPJ-F with a time predicate: the grid's candidate
+table and its ``sigma_bar`` bound remain admissible because the temporal
 condition only ever *removes* matches, and the exact refinement passes
 the timestamp check into PPJ-B's object-level joins.
 """
@@ -30,7 +30,6 @@ from .model import STDataset, STObject, UserId
 from .pair_eval import PairEvalStats, ppj_b_pair
 from .query import STPSJoinQuery, UserPair
 from .similarity import objects_match
-from .sppj_f import candidate_bound, collect_candidates
 
 __all__ = [
     "TemporalQuery",
@@ -108,31 +107,21 @@ def temporal_stps_join(
     def close_in_time(a: STObject, b: STObject) -> bool:
         return abs(times[a.oid] - times[b.oid]) <= eps_time
 
-    index = STGridIndex(dataset.bounds, query.eps_loc, with_tokens=True)
-    sizes = {u: len(dataset.user_objects(u)) for u in dataset.users}
-    rank = {u: i for i, u in enumerate(dataset.users)}
+    index = STGridIndex.build(dataset, query.eps_loc)
+    table = index.candidate_table()
+    users = dataset.users
+    sizes = [len(dataset.user_objects(u)) for u in users]
     results: List[UserPair] = []
 
-    for user in dataset.users:
-        # Filed before probing so its cell signatures exist; the users
-        # already in the index are exactly the earlier ones.
-        index.add_user(user, dataset.user_objects(user))
-        candidates = collect_candidates(index, user)
-        candidates.pop(user, None)
+    # Dataset order: user ``r`` pairs with the candidates ranked before it.
+    for r, user in enumerate(users):
+        cand, num = table.row(r)
+        earlier = cand < r
+        cand, num = cand[earlier].tolist(), num[earlier].tolist()
         if stats is not None:
-            stats.candidates += len(candidates)
-
-        for cand, (own_cells, cand_cells) in candidates.items():
-            bound = candidate_bound(
-                index,
-                user,
-                cand,
-                own_cells,
-                cand_cells,
-                sizes[user],
-                sizes[cand],
-            )
-            if bound < query.eps_user:
+            stats.candidates += len(cand)
+        for c, numerator in zip(cand, num):
+            if numerator / (sizes[r] + sizes[c]) < query.eps_user:
                 if stats is not None:
                     stats.bound_pruned += 1
                 continue
@@ -140,21 +129,18 @@ def temporal_stps_join(
                 stats.refinements += 1
             score = ppj_b_pair(
                 index,
-                cand,
+                users[c],
                 user,
                 query.eps_loc,
                 query.eps_doc,
                 query.eps_user,
-                sizes[cand],
-                sizes[user],
+                sizes[c],
+                sizes[r],
                 stats,
                 predicate=close_in_time,
             )
             if score >= query.eps_user:
-                first, second = (
-                    (cand, user) if rank[cand] < rank[user] else (user, cand)
-                )
-                results.append(UserPair(first, second, score))
+                results.append(UserPair(users[c], user, score))
     return sorted(results, key=lambda p: (-p.score, str(p.user_a), str(p.user_b)))
 
 

@@ -27,6 +27,12 @@ the same plan's chunks across a pool.
   - TOPK-S-PPJ-P: ascending ``(size, dataset rank)``, plus the Lemma 2
     per-user bound over the users earlier in that order.
 
+  The grid plans read the filter from the grid's
+  :class:`~repro.stindex.stgrid.CandidateTable`: for the users of a
+  chunk, one vectorized pass keeps the earlier candidates and computes
+  every ``sigma_bar``, and only the pairs that pass go through the
+  Python refinement loop.
+
 * **Top-k plans** keep a *local* canonical top-k heap per chunk: a pair
   pruned against a chunk-local threshold scores below that chunk's k-th
   best pair, hence below the global k-th best, so merging the per-chunk
@@ -58,6 +64,8 @@ import heapq
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..core.kernels import batch_kernel_for
 from ..core.model import STDataset, UserId
 from ..obs import runtime as _obs
@@ -65,7 +73,6 @@ from ..core.pair_eval import PairEvalStats, ppj_b_pair, ppj_c_pair
 from ..core.ppj_d import ppj_d_pair
 from ..core.query import STPSJoinQuery, TopKQuery, UserPair
 from ..core.similarity import set_similarity
-from ..core.sppj_f import candidate_bound, collect_candidates
 from ..core.topk import _TopKHeap
 from ..stindex.leaf_index import STLeafIndex
 from ..stindex.stgrid import STGridIndex
@@ -168,28 +175,6 @@ class Plan:
         """Take an accepted chunk's result, on runs whose chunks execute
         one after another in the caller (so the state is not shared with a
         concurrently running chunk).  The base plan ignores it."""
-
-
-def _check_grid_index(
-    index: STGridIndex, eps_loc: float, need_tokens: bool
-) -> STGridIndex:
-    """Validate a caller-supplied (warm) grid index against the query.
-
-    The grid's cell extent *is* ``eps_loc`` — an index built for another
-    threshold would generate wrong candidate sets — and the token-probing
-    plans need the per-cell inverted lists.  A ``with_tokens=True`` index
-    is accepted by the plans that do not need tokens: the extra lists are
-    simply unused, which is what lets a resident server share one warm
-    index per ``eps_loc`` across all grid algorithms.
-    """
-    if index.eps_loc != eps_loc:
-        raise ValueError("prebuilt index eps_loc does not match the query")
-    if need_tokens and not index.with_tokens:
-        raise ValueError(
-            "prebuilt grid index was built with with_tokens=False; this "
-            "algorithm needs the per-cell token lists"
-        )
-    return index
 
 
 def _triangular_chunks(
@@ -430,6 +415,41 @@ def _record_shard(reg, evaluated: int, emitted: int, cand_seconds: float) -> Non
         reg.histogram("phase.candidates").observe(cand_seconds)
 
 
+def _filter_state(dataset: STDataset, query, index: STGridIndex, order, **extra):
+    """The state of a grid filter plan: :func:`_shard_state` plus the
+    grid's candidate table and the arrays it is read with — per dataset
+    rank (= table rank) the object-set size and the plan position, per
+    position the rank."""
+    state = _shard_state(dataset, query, index, order, **extra)
+    rank = state["rank"]
+    rank_at = np.fromiter(map(rank.__getitem__, order), np.int64, len(order))
+    pos_of = np.empty_like(rank_at)
+    pos_of[rank_at] = np.arange(len(order))
+    state.update(
+        table=index.candidate_table(),
+        users=dataset.users,
+        rank_at=rank_at,
+        pos_of=pos_of,
+        size_of=np.array(_user_sizes(dataset), dtype=np.int64),
+    )
+    return state
+
+
+def _chunk_candidates(state, positions: np.ndarray):
+    """Algorithm 2's filter for the users at ``positions``, vectorized.
+
+    Returns ``(seg, cand, bound)``: every candidate at an earlier
+    position of the plan's order, as the index into ``positions`` of the
+    user it belongs to, its rank and its ``sigma_bar``.
+    """
+    rank_at, size_of = state["rank_at"], state["size_of"]
+    ranks = rank_at[positions]
+    seg, cand, num = state["table"].gather(ranks)
+    earlier = state["pos_of"][cand] < positions[seg]
+    seg, cand, num = seg[earlier], cand[earlier], num[earlier]
+    return seg, cand, num / (size_of[ranks[seg]] + size_of[cand])
+
+
 # -- threshold joins ---------------------------------------------------------------
 
 
@@ -476,7 +496,7 @@ class SPPJCPlan(_PairwisePlan):
         if index is None:
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=False)
         else:
-            _check_grid_index(index, query.eps_loc, need_tokens=False)
+            index.check_query(dataset, query.eps_loc, needs_filter=False)
         users = list(dataset.users)
         return {
             "users": users,
@@ -539,7 +559,7 @@ class SPPJBPlan(_PairwisePlan):
         if index is None:
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=False)
         else:
-            _check_grid_index(index, query.eps_loc, need_tokens=False)
+            index.check_query(dataset, query.eps_loc, needs_filter=False)
         users = list(dataset.users)
         return {
             "users": users,
@@ -609,67 +629,51 @@ class SPPJFPlan(_UserShardPlan):
         if index is None:
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=True)
         else:
-            _check_grid_index(index, query.eps_loc, need_tokens=True)
-        return _shard_state(
+            index.check_query(dataset, query.eps_loc, needs_filter=True)
+        return _filter_state(
             dataset, query, index, list(dataset.users), refine=refine
         )
 
     def run_chunk(self, state, chunk, stats):
         index: STGridIndex = state["index"]
-        order, pos, sizes = state["order"], state["pos"], state["sizes"]
+        order, users, sizes = state["order"], state["users"], state["sizes"]
         query: STPSJoinQuery = state["query"]
         refine: str = state["refine"]
         reg = _obs.active()
-        cand_seconds = 0.0
-        n_evaluated = 0
+        started = time.perf_counter()
+        positions = np.asarray(chunk, dtype=np.int64)
+        seg, cand, bound = _chunk_candidates(state, positions)
+        passed = bound >= query.eps_user
+        n_passed = int(passed.sum())
+        if stats is not None:
+            stats.candidates += len(cand)
+            stats.bound_pruned += len(cand) - n_passed
+            stats.refinements += n_passed
+        cand_seconds = time.perf_counter() - started
         out: List[UserPair] = []
-        for p in chunk:
-            user = order[p]
-            if reg is not None:
-                started = time.perf_counter()
-            candidates = collect_candidates(index, user, pos, p)
-            if reg is not None:
-                cand_seconds += time.perf_counter() - started
-                n_evaluated += len(candidates)
-            if stats is not None:
-                stats.candidates += len(candidates)
-            for cand, (own_cells, cand_cells) in candidates.items():
-                bound = candidate_bound(
+        for p, c in zip(positions[seg[passed]].tolist(), cand[passed].tolist()):
+            user, other = order[p], users[c]
+            if refine == "ppj-b":
+                score = ppj_b_pair(
                     index,
+                    other,
                     user,
-                    cand,
-                    own_cells,
-                    cand_cells,
+                    query.eps_loc,
+                    query.eps_doc,
+                    query.eps_user,
+                    sizes[other],
                     sizes[user],
-                    sizes[cand],
+                    stats,
                 )
-                if bound < query.eps_user:
-                    if stats is not None:
-                        stats.bound_pruned += 1
-                    continue
-                if stats is not None:
-                    stats.refinements += 1
-                if refine == "ppj-b":
-                    score = ppj_b_pair(
-                        index,
-                        cand,
-                        user,
-                        query.eps_loc,
-                        query.eps_doc,
-                        query.eps_user,
-                        sizes[cand],
-                        sizes[user],
-                        stats,
-                    )
-                else:
-                    total = sizes[cand] + sizes[user]
-                    matched = ppj_c_pair(
-                        index, cand, user, query.eps_loc, query.eps_doc
-                    )
-                    score = matched / total if total else 0.0
-                if score >= query.eps_user:
-                    out.append(UserPair(cand, user, score))
-        _record_shard(reg, n_evaluated, len(out), cand_seconds)
+            else:
+                total = sizes[other] + sizes[user]
+                matched = ppj_c_pair(
+                    index, other, user, query.eps_loc, query.eps_doc
+                )
+                score = matched / total if total else 0.0
+            if score >= query.eps_user:
+                out.append(UserPair(other, user, score))
+        _record_shard(reg, len(cand), len(out), cand_seconds)
         return out
 
 
@@ -835,14 +839,17 @@ class _TopKShardPlan(_UserShardPlan):
 class _TopKGridPlan(_TopKShardPlan):
     """The grid top-k skeleton of Algorithm 4 (TOPK-S-PPJ-F/-S/-P).
 
-    Users are visited in the plan's user order.  Each user probes the
-    full grid for candidates at *earlier* positions, which are refined in
-    position order (so the run, and its counters, do not depend on set
-    iteration order): the Lemma 2 user bound, the ``sigma_bar`` bound and
-    PPJ-B's early termination all test against the current threshold —
-    the chunk's k-th best score, raised to the floor's when that is
-    higher.  That is the global threshold when the run is one chunk, and
-    never above it otherwise, so pruning stays safe.
+    Users are visited in the plan's user order.  Each user's candidates
+    at *earlier* positions come from the grid's candidate table and are
+    refined in position order (so the run, and its counters, do not
+    depend on iteration order): the Lemma 2 user bound, the
+    ``sigma_bar`` bound and PPJ-B's early termination all test against
+    the current threshold — the chunk's k-th best score, raised to the
+    floor's when that is higher.  That is the global threshold when the
+    run is one chunk, and never above it otherwise, so pruning stays
+    safe.  Thresholds only rise, so a candidate whose bound is below the
+    chunk's starting threshold is pruned before the loop; the others are
+    rechecked against the threshold as it rises.
     """
 
     def user_order(self, dataset: STDataset, index: STGridIndex) -> List[UserId]:
@@ -857,8 +864,8 @@ class _TopKGridPlan(_TopKShardPlan):
         if index is None:
             index = STGridIndex.build(dataset, query.eps_loc, with_tokens=True)
         else:
-            _check_grid_index(index, query.eps_loc, need_tokens=True)
-        return _shard_state(
+            index.check_query(dataset, query.eps_loc, needs_filter=True)
+        return _filter_state(
             dataset, query, index, self.user_order(dataset, index),
             floor=_TopKHeap(query.k),
         )
@@ -870,59 +877,59 @@ class _TopKGridPlan(_TopKShardPlan):
 
     def run_chunk(self, state, chunk, stats):
         index: STGridIndex = state["index"]
-        order, pos, rank = state["order"], state["pos"], state["rank"]
+        order, users, rank = state["order"], state["users"], state["rank"]
         sizes = state["sizes"]
         query: TopKQuery = state["query"]
         reg = _obs.active()
-        cand_seconds = 0.0
-        n_evaluated = 0
         heap = _TopKHeap(query.k)
         floor = state["floor"].threshold
-        for p in chunk:
+        started = time.perf_counter()
+        positions = np.asarray(chunk, dtype=np.int64)
+        seg, cand, bound = _chunk_candidates(state, positions)
+        by_pos = np.lexsort((state["pos_of"][cand], seg))
+        seg, cand, bound = seg[by_pos], cand[by_pos], bound[by_pos]
+        found = np.bincount(seg, minlength=len(positions)).tolist()
+        live = bound >= floor
+        ends = np.cumsum(np.bincount(seg[live], minlength=len(positions))).tolist()
+        live_cands, live_bounds = cand[live].tolist(), bound[live].tolist()
+        cand_seconds = time.perf_counter() - started
+        n_evaluated = 0
+        lo = 0
+        for s, p in enumerate(positions.tolist()):
             user = order[p]
+            hi = ends[s]
             if self.skip_user(state, p, max(heap.threshold, floor)):
                 if stats is not None:
                     stats.users_skipped += 1
+                lo = hi
                 continue
-            if reg is not None:
-                started = time.perf_counter()
-            candidates = collect_candidates(index, user, pos, p)
-            if reg is not None:
-                cand_seconds += time.perf_counter() - started
-                n_evaluated += len(candidates)
+            n_evaluated += found[s]
             if stats is not None:
-                stats.candidates += len(candidates)
-            for cand in sorted(candidates, key=pos.__getitem__):
-                own_cells, cand_cells = candidates[cand]
+                stats.candidates += found[s]
+                stats.bound_pruned += found[s] - (hi - lo)
+            for c, bound_c in zip(live_cands[lo:hi], live_bounds[lo:hi]):
                 threshold = max(heap.threshold, floor)
-                bound = candidate_bound(
-                    index,
-                    user,
-                    cand,
-                    own_cells,
-                    cand_cells,
-                    sizes[user],
-                    sizes[cand],
-                )
-                if bound < threshold:
+                if bound_c < threshold:
                     if stats is not None:
                         stats.bound_pruned += 1
                     continue
                 if stats is not None:
                     stats.refinements += 1
+                other = users[c]
                 score = ppj_b_pair(
                     index,
-                    cand,
+                    other,
                     user,
                     query.eps_loc,
                     query.eps_doc,
                     threshold if threshold > 0.0 else _NO_THRESHOLD,
-                    sizes[cand],
+                    sizes[other],
                     sizes[user],
                     stats,
                 )
                 if score > 0.0:
-                    heap.offer(_ordered_pair(rank, cand, user, score))
+                    heap.offer(_ordered_pair(rank, other, user, score))
+            lo = hi
         results = heap.results()
         _record_shard(reg, n_evaluated, len(results), cand_seconds)
         return results
@@ -966,7 +973,16 @@ class TopKSPlan(_TopKGridPlan):
 
 
 class TopKPPlan(_TopKGridPlan):
-    """TOPK-S-PPJ-P: ascending size plus the Lemma 2 per-user bound."""
+    """TOPK-S-PPJ-P: ascending size plus the Lemma 2 per-user bound.
+
+    An object of a user is *potentially matched* when one of its tokens
+    appears, contributed by a user earlier in the order, in the object's
+    cell or an adjacent cell.  With ``m_u`` such objects (the candidate
+    table's ``matched``) and users in ascending set-size order,
+    ``(m_u + d_max) / (|Du| + d_max)`` upper-bounds the similarity of the
+    user with every earlier user, ``d_max`` being the largest earlier
+    set size.
+    """
 
     name = "topk-s-ppj-p"
 
@@ -978,49 +994,11 @@ class TopKPPlan(_TopKGridPlan):
         max_prev = sizes[order[p - 1]]
         if max_prev == 0:
             return False
-        bound = _user_bound(
-            state["index"], order[p], state["pos"], p,
-            sizes[order[p]], max_prev,
-        )
+        matched = int(state["table"].matched[state["rank_at"][p]])
+        bound = (matched + max_prev) / (sizes[order[p]] + max_prev)
         # Strict: a user whose bound ties the threshold may still own a
         # canonically smaller tie at the k-th position.
         return bound < threshold
-
-
-def _user_bound(
-    index: STGridIndex,
-    user: UserId,
-    pos: Dict[UserId, int],
-    p: int,
-    size_user: int,
-    max_prev_size: int,
-) -> float:
-    """The TOPK-S-PPJ-P per-user bound ``sigma_bar_u`` (Lemma 2).
-
-    An object of ``user`` is *potentially matched* when one of its tokens
-    appears — contributed by a user at a position before ``p`` — in the
-    object's cell or an adjacent cell.  With users in ascending set-size
-    order, ``(m_u + d_max) / (|Du| + d_max)`` upper-bounds the similarity
-    of ``user`` with every earlier user.
-    """
-    potentially_matched = 0
-    for cell, objs in index.user_groups(user).items():
-        token_maps = [maps for _, maps in index.relevant_token_maps(cell)]
-        for obj in objs:
-            if _seen_before(token_maps, obj.doc, pos, p):
-                potentially_matched += 1
-    return (potentially_matched + max_prev_size) / (size_user + max_prev_size)
-
-
-def _seen_before(token_maps, doc, pos, p: int) -> bool:
-    """Whether a user before position ``p`` has a token of ``doc`` in one
-    of the cells whose inverted lists are ``token_maps``."""
-    for token_map in token_maps:
-        for token in doc:
-            for owner in token_map.get(token, ()):
-                if pos[owner] < p:
-                    return True
-    return False
 
 
 class TopKLeafPlan(_TopKShardPlan):

@@ -30,7 +30,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
+
+from ..obs.analytics import calibration_summary
 
 __all__ = [
     "AUDIT_SCHEMA_VERSION",
@@ -64,7 +66,10 @@ class AuditRecord:
     # queue / setup / execute / serialize breakdown, seconds
     result_count: Optional[int] = None
     funnel: Dict[str, int] = field(default_factory=dict)
-    calibration: Dict[str, object] = field(default_factory=dict)
+    #: ``(chunk, cost)`` and ``(chunk, seconds)`` pairs of the run; the
+    #: ring keeps these, several times smaller than the calibration
+    #: summary :meth:`as_dict` derives from them.
+    chunk_timings: Optional[Tuple[tuple, tuple]] = None
 
     def as_dict(self) -> dict:
         return {
@@ -84,7 +89,11 @@ class AuditRecord:
             "timings": self.timings,
             "result_count": self.result_count,
             "funnel": self.funnel,
-            "calibration": self.calibration,
+            "calibration": (
+                calibration_summary(*map(dict, self.chunk_timings))
+                if self.chunk_timings
+                else {}
+            ),
         }
 
 

@@ -5,8 +5,9 @@ with the indexes the join algorithms need, built lazily on first use and
 kept for the lifetime of the server:
 
 * one ``with_tokens=True`` :class:`~repro.stindex.stgrid.STGridIndex`
-  per distinct ``eps_loc`` — a single grid serves S-PPJ-C/B (which
-  ignore the token lists), S-PPJ-F, the grid top-k family and knn;
+  per distinct ``eps_loc`` — a single grid serves S-PPJ-C/B, S-PPJ-F,
+  the grid top-k family and knn; its candidate table is built by the
+  first filter query and then shared by all of them;
 * one :class:`~repro.stindex.leaf_index.STLeafIndex` per distinct
   ``(eps_loc, fanout, partitioner)`` for the S-PPJ-D family.
 

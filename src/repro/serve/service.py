@@ -25,12 +25,7 @@ from ..core.knn import similar_users
 from ..datasets.loaders import load_tsv
 from ..exec import DeadlineExceeded, ExecutionPolicy
 from ..obs import MetricsRegistry, Telemetry
-from ..obs.analytics import (
-    STATS_SCHEMA_VERSION,
-    SLOPolicy,
-    WindowAggregator,
-    calibration_summary,
-)
+from ..obs.analytics import STATS_SCHEMA_VERSION, SLOPolicy, WindowAggregator
 from .admission import AdmissionController, AdmissionRejected
 from .audit import AuditLog, AuditRecord, SlowQueryLog
 from .cache import ResultCache
@@ -523,8 +518,9 @@ class JoinService:
             if report is not None:
                 record.run_id = report.run_id
                 if report.chunk_costs:
-                    record.calibration = calibration_summary(
-                        report.chunk_costs, report.chunk_seconds
+                    record.chunk_timings = (
+                        tuple(report.chunk_costs.items()),
+                        tuple(report.chunk_seconds.items()),
                     )
             if explain_report is not None:
                 record.funnel = dict(explain_report.user_funnel)

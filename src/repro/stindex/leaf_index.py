@@ -26,9 +26,10 @@ from ..spatial.geometry import Rect
 from ..spatial.quadtree import QuadTree
 from ..spatial.rtree import RTree
 from ..spatial.spatial_join import rtree_relevant_leaf_pairs, sweep_rect_pairs
-from .stgrid import _NO_USERS
-
 __all__ = ["STLeafIndex"]
+
+#: The shared (immutable) answer of a token lookup that misses.
+_NO_USERS: Tuple[UserId, ...] = ()
 
 
 class STLeafIndex:

@@ -10,7 +10,6 @@ from repro import STPSJoinQuery, Telemetry, TopKQuery, stps_join, topk_stps_join
 from repro.core.pair_eval import PairEvalStats
 from repro.core.similarity import set_similarity
 from repro.exec import JoinExecutor, get_plan
-from repro.exec.plans import _user_bound
 from tests.helpers import build_clustered_dataset
 
 fork_available = "fork" in multiprocessing.get_all_start_methods()
@@ -78,8 +77,9 @@ class TestTopKPSkips:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_user_bound_is_admissible(self, seed):
-        """Lemma 2: for every user, the P plan's bound is at least the
-        true sigma with every user earlier in the P order."""
+        """Lemma 2: for every user, the P plan's bound (from the
+        candidate table's ``m_u``) is at least the true sigma with every
+        user earlier in the P order."""
         ds = build_clustered_dataset(seed, n_users=12)
         query = TopKQuery(0.05, 0.3, 1)
         state = get_plan("topk", "topk-s-ppj-p").build_state(ds, query)
@@ -88,10 +88,9 @@ class TestTopKPSkips:
         checked = 0
         for p in range(1, len(order)):
             user = order[p]
-            bound = _user_bound(
-                state["index"], user, state["pos"], p, sizes[user],
-                sizes[order[p - 1]],
-            )
+            matched = int(state["table"].matched[state["rank_at"][p]])
+            max_prev = sizes[order[p - 1]]
+            bound = (matched + max_prev) / (sizes[user] + max_prev)
             for earlier in order[:p]:
                 sigma = set_similarity(
                     ds.user_objects(user), ds.user_objects(earlier),

@@ -67,7 +67,7 @@ def _count_evaluator_calls(monkeypatch):
 
         def counted(pack_a, pack_b, *args, _original=original):
             tally["funnel.cell_pairs"] += 1
-            tally["funnel.object_pairs"] += len(pack_a.oids) * len(pack_b.oids)
+            tally["funnel.object_pairs"] += len(pack_a) * len(pack_b)
             return _original(pack_a, pack_b, *args)
 
         monkeypatch.setattr(pair_eval, name, counted)

@@ -307,9 +307,9 @@ class TestClose:
         first = self._join(service)
         assert first["pairs"]
         index = service.registry.get("demo").grid_index(EPS_LOC)
-        assert index._packs and index._relevant_maps
+        assert index._user_packs and index._table is not None
         service.close()
-        assert not index._packs and not index._relevant_maps
+        assert not index._user_packs and index._table is None
         assert not index._prefix_indexes and not index._user_packs
         # Datasets, indexes and cached results stay readable.
         assert service.registry.get("demo").grid_index(EPS_LOC) is index
@@ -327,5 +327,5 @@ class TestClose:
         expected = self._join(guest)
         index = shared.get("demo").grid_index(EPS_LOC)
         guest.close()
-        assert index._packs and index._relevant_maps
+        assert index._user_packs and index._table is not None
         assert self._join(owner)["pairs"] == expected["pairs"]

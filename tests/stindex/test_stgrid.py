@@ -7,6 +7,11 @@ from repro.stindex.stgrid import STGridIndex
 from tests.helpers import build_random_dataset
 
 
+def assert_same_table(a, b):
+    for name in ("indptr", "cand", "num", "matched"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+
+
 @pytest.fixture
 def dataset():
     return build_random_dataset(3, n_users=6)
@@ -54,23 +59,18 @@ class TestConstruction:
     @pytest.mark.parametrize("with_tokens", [True, False])
     def test_bulk_build_files_what_add_user_files(self, dataset, with_tokens):
         """The vectorized build and the incremental path agree on every
-        structure, object order and inverted-list content included."""
+        structure, object order and candidate table included."""
         bulk = STGridIndex.build(dataset, 0.2, with_tokens=with_tokens)
         incr = STGridIndex(dataset.bounds, 0.2, with_tokens=with_tokens)
         for user in dataset.users:
             incr.add_user(user, dataset.user_objects(user))
-        assert bulk._cell_objects == incr._cell_objects
+        assert bulk._user_groups == incr._user_groups
         for user in dataset.users:
             assert bulk.user_groups(user) == incr.user_groups(user)
             assert list(bulk.user_groups(user)) == bulk.user_cells(user)
             assert bulk.user_cell_ids(user) == incr.user_cell_ids(user)
-        if with_tokens:
-            assert bulk._cell_token_users == incr._cell_token_users
-            for user in dataset.users:
-                assert bulk.user_tokens(user) == incr.user_tokens(user)
-                for cell, objs in bulk.user_groups(user).items():
-                    union = sorted({t for o in objs for t in o.doc})
-                    assert list(bulk.user_tokens(user)[cell]) == union
+        assert bulk.users == incr.users == dataset.users
+        assert_same_table(bulk.candidate_table(), incr.candidate_table())
 
     def test_user_subset_build_matches_add_user(self, dataset):
         subset = [dataset.users[3], dataset.users[0], "ghost"]
@@ -78,8 +78,10 @@ class TestConstruction:
         incr = STGridIndex(dataset.bounds, 0.2)
         for user in subset:
             incr.add_user(user, dataset.user_objects(user))
-        assert bulk._cell_objects == incr._cell_objects
-        assert bulk._cell_token_users == incr._cell_token_users
+        for user in subset:
+            assert bulk.user_groups(user) == incr.user_groups(user)
+        assert bulk.users == incr.users == subset
+        assert_same_table(bulk.candidate_table(), incr.candidate_table())
         assert bulk.user_groups(dataset.users[1]) == {}
 
     def test_bulk_build_keeps_cell_columns(self, dataset):
@@ -109,44 +111,7 @@ class TestConstruction:
 
 
 class TestTokenLists:
-    def test_token_users_complete(self, dataset, index):
-        """Every (cell, token, user) occurrence must be probe-able."""
-        for obj in dataset.objects:
-            cell = index.grid.cell_of(obj.x, obj.y)
-            for token in obj.doc:
-                assert obj.user in index.token_users(cell, token)
-
-    def test_token_users_no_false_entries(self, dataset, index):
-        for user in dataset.users:
-            for cell in index.user_cells(user):
-                tokens = index.user_cell_tokens(user, cell)
-                for token in tokens:
-                    assert user in index.token_users(cell, token)
-
-    def test_relevant_token_maps(self, dataset, index):
-        for user in dataset.users:
-            for cell in index.user_cells(user):
-                maps = index.relevant_token_maps(cell)
-                assert [c for c, _ in maps] == [
-                    c
-                    for c in index.relevant_cells(cell)
-                    if c in index._cell_token_users
-                ]
-                for other, token_map in maps:
-                    assert token_map is index.cell_token_users(other)
-
-    def test_relevant_token_maps_follow_add_user(self, dataset):
-        index = STGridIndex(dataset.bounds, 0.2)
-        first, second = dataset.users[:2]
-        index.add_user(first, dataset.user_objects(first))
-        probes = {
-            c: list(index.relevant_token_maps(c)) for c in index.user_cells(first)
-        }
-        index.add_user(second, dataset.user_objects(second))
-        for cell in probes:
-            assert [c for c, _ in index.relevant_token_maps(cell)] == [
-                c for c in index.relevant_cells(cell) if c in index._cell_token_users
-            ]
+    """The token filter: the grid's cached candidate table."""
 
     def test_drop_caches_keeps_answers(self, dataset, index):
         def answers():
@@ -156,28 +121,32 @@ class TestTokenLists:
             ]
 
         before = answers()
-        assert index._packs and index._relevant_maps
+        assert index._user_packs and index._table is not None
         index.drop_caches()
-        assert not index._packs and not index._user_packs
-        assert not index._prefix_indexes and not index._relevant_maps
+        assert not index._user_packs
+        assert not index._prefix_indexes and index._table is None
         assert index._batch_kernel is None
         assert answers() == before
 
-    def test_missing_token_empty(self, index):
-        assert index.token_users((0, 0), 999999) == ()
-
     def test_without_tokens_raises(self, dataset):
         index = STGridIndex.build(dataset, 0.2, with_tokens=False)
-        with pytest.raises(RuntimeError):
-            index.token_users((0, 0), 1)
+        with pytest.raises(ValueError, match="with_tokens=False"):
+            similar_users(dataset, dataset.users[0], 0.2, 0.3, 3, index=index)
 
-    def test_user_cell_tokens_union_of_docs(self, dataset, index):
-        user = dataset.users[0]
-        for cell in index.user_cells(user):
-            expected = set()
-            for obj in index.cell_objects(cell, user):
-                expected.update(obj.doc)
-            assert index.user_cell_tokens(user, cell) == expected
+    def test_add_user_invalidates_table(self, dataset):
+        index = STGridIndex(dataset.bounds, 0.2)
+        first, second = dataset.users[:2]
+        index.add_user(first, dataset.user_objects(first))
+        assert index.candidate_table().indptr.tolist() == [0, 0]
+        index.add_user(second, dataset.user_objects(second))
+        assert index._table is None
+        full = STGridIndex.build(dataset, 0.2, users=[first, second])
+        assert_same_table(index.candidate_table(), full.candidate_table())
+
+    def test_occupancy_reports_table_bytes(self, dataset, index):
+        assert index.occupancy()["candidate_table_bytes"] == 0
+        table = index.candidate_table()
+        assert index.occupancy()["candidate_table_bytes"] == table.nbytes > 0
 
 
 class TestNeighbourhoods:
