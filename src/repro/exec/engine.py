@@ -40,26 +40,32 @@ Backends
     ``REPRO_START_METHOD`` environment variable acts as an explicit
     request, which is how CI forces the spawn transport.
 
-Resilience
-----------
+Scheduling and resilience
+-------------------------
 
-Without an :class:`~repro.exec.resilience.ExecutionPolicy` the engine is
-exact and brittle on purpose: a chunk exception propagates, results are
-all-or-nothing, and the scheduling path is byte-for-byte the cheap
-``imap_unordered`` loop.  With a policy, pooled chunks run through an
-``AsyncResult``-based dispatcher that adds, per
-``docs/robustness.md``:
+Every run goes through one dispatch loop over one executor interface
+(``submit`` a chunk with a completion callback): the worker pool, or —
+for the sequential backend and one-worker runs — an inline executor that
+runs the chunk in the caller at dispatch, a pool with zero workers.
+Completions land in a queue the loop blocks on, so it sleeps only until
+the next completion, backoff expiry, chunk timeout or deadline; process
+pools add a ``poll_interval`` tick for the crash watchdog.
+
+A run without an :class:`~repro.exec.resilience.ExecutionPolicy` runs the
+loop under the *exact* policy — no deadline, no retries, no pool
+respawns — and re-raises a failed chunk's exception as-is, so results
+stay all-or-nothing.  A policy adds, per ``docs/robustness.md``:
 
 * per-chunk retries with deterministic exponential backoff;
 * per-chunk timeouts (task abandoned and re-dispatched) and a whole-run
-  deadline;
-* worker-crash detection — the dispatcher watches the pool's worker pids,
+  deadline, counted from the start of the run (state build included);
+* worker-crash detection — the loop watches the pool's worker pids,
   rebuilds the pool when one dies (``respawn_limit`` times) and requeues
-  the chunks that were in flight;
-* graceful degradation: a chunk that exhausts its pool attempts is
-  re-executed on a degraded rung (thread, then inline in the caller)
-  under ``on_failure="degrade"``, or recorded and skipped under
-  ``"partial"``;
+  the chunks that were in flight; past the budget the run fails;
+* graceful degradation: under ``on_failure="degrade"`` the chunks that
+  exhausted their attempts go through the same loop again, without
+  retries, on the next rung (process → thread → inline; thread and
+  inline → inline), or are recorded and skipped under ``"partial"``;
 * an :class:`~repro.exec.resilience.ExecutionReport` describing exactly
   what happened.
 
@@ -86,10 +92,11 @@ import itertools
 import multiprocessing
 import multiprocessing.dummy
 import os
+import queue
 import threading
 import time
 import warnings
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..core.model import STDataset
 from ..core.pair_eval import PairEvalStats
@@ -124,6 +131,14 @@ _RUN_TOKENS = itertools.count(1)
 #: telemetry supplies a traced span id).
 _RUN_SEQ = itertools.count(1)
 
+#: The policy of a run without one: exact and fail-fast — no deadline,
+#: no retries, no pool respawns.  A failed chunk's own exception is
+#: re-raised, not wrapped in :class:`ExecutionFailed`.
+_EXACT = ExecutionPolicy(max_retries=0, respawn_limit=0)
+
+#: The telemetry of a run without one: every recording call is a no-op.
+_NO_TELEMETRY = Telemetry(enabled=False)
+
 
 def _execute_chunk(
     plan: Plan,
@@ -132,7 +147,7 @@ def _execute_chunk(
     chunk_index: int,
     attempt: int,
     with_stats: bool,
-    with_metrics: bool = False,
+    with_metrics: bool,
 ) -> Tuple[List[UserPair], Optional[dict], Optional[dict], float]:
     """Evaluate one chunk, honoring the active fault plan.
 
@@ -148,13 +163,9 @@ def _execute_chunk(
     if fault_plan is not None:
         fault_plan.maybe_fire(chunk_index, attempt)
     stats = PairEvalStats() if with_stats else None
-    if not with_metrics:
-        started = time.perf_counter()
-        pairs = plan.run_chunk(state, chunk, stats)
-        seconds = time.perf_counter() - started
-        return pairs, (stats.as_dict() if stats is not None else None), None, seconds
-    registry = MetricsRegistry()
-    previous = _obs.activate(registry)
+    registry = MetricsRegistry() if with_metrics else None
+    # Without metrics the registry already active (if any) stays active.
+    previous = _obs.activate(registry if with_metrics else _obs.active())
     started = time.perf_counter()
     try:
         pairs = plan.run_chunk(state, chunk, stats)
@@ -163,21 +174,20 @@ def _execute_chunk(
         _obs.restore(previous)
     return (
         pairs,
-        (stats.as_dict() if stats is not None else None),
-        registry.as_dict(),
+        stats.as_dict() if with_stats else None,
+        registry.as_dict() if with_metrics else None,
         seconds,
     )
 
 
-def _run_task(task) -> Tuple[int, List[UserPair], Optional[dict], Optional[dict], float]:
+def _run_task(task) -> Tuple[List[UserPair], Optional[dict], Optional[dict], float]:
     """Pool-worker entry point; ``task = (token, index, attempt, chunk)``."""
     token, chunk_index, attempt, chunk = task
     entry = _WORKER_STATE[token]
-    pairs, counters, metrics, seconds = _execute_chunk(
+    return _execute_chunk(
         entry["plan"], entry["state"], chunk, chunk_index, attempt,
         entry["with_stats"], entry["with_metrics"],
     )
-    return chunk_index, pairs, counters, metrics, seconds
 
 
 def _init_spawn_worker(
@@ -212,48 +222,6 @@ def _init_spawn_worker(
     }
 
 
-def _run_chunk_in_thread(
-    plan: Plan,
-    state,
-    chunk,
-    chunk_index: int,
-    attempt: int,
-    with_stats: bool,
-    with_metrics: bool,
-    timeout: Optional[float],
-) -> Tuple[List[UserPair], Optional[dict], Optional[dict], float]:
-    """Degraded thread rung: one chunk on a fresh daemon thread.
-
-    Unlike plain inline execution this rung can enforce a timeout — the
-    hung thread is abandoned (daemon, so it cannot block interpreter
-    exit) and a ``TimeoutError`` is raised to the dispatcher.
-    """
-    box: dict = {}
-
-    def target() -> None:
-        try:
-            box["ok"] = _execute_chunk(
-                plan, state, chunk, chunk_index, attempt, with_stats,
-                with_metrics,
-            )
-        except BaseException as exc:  # noqa: BLE001 - relayed to the caller
-            box["err"] = exc
-
-    worker = threading.Thread(
-        target=target, name=f"repro-degraded-{chunk_index}", daemon=True
-    )
-    worker.start()
-    worker.join(timeout)
-    if worker.is_alive():
-        raise TimeoutError(
-            f"degraded thread rung for chunk {chunk_index} exceeded "
-            f"{timeout}s"
-        )
-    if "err" in box:
-        raise box["err"]
-    return box["ok"]
-
-
 class _Deadline:
     """Monotonic wall-clock budget; ``None`` seconds means unbounded."""
 
@@ -271,22 +239,333 @@ class _Deadline:
         return max(0.0, self._at - time.monotonic())
 
 
-def _worker_pids(pool) -> Set[int]:
-    """Pids of a process pool's current workers (crash watchdog input)."""
-    return {w.pid for w in getattr(pool, "_pool", []) if w.pid is not None}
+# -- executors -------------------------------------------------------------------
+#
+# What the dispatch loop runs chunks on.  ``submit(idx, attempt, chunk,
+# done)`` starts one attempt and arranges for ``done(idx, attempt,
+# result, error)`` to be called when it finishes; ``capacity`` bounds the
+# attempts in flight; ``pids()`` is ``None`` unless worker processes can
+# die under the loop.
 
 
-def _terminate_pool(pool) -> None:
-    """Terminate a pool, swallowing teardown races.
+class _Inline:
+    """The zero-worker pool: runs each chunk in the caller at dispatch."""
 
-    ``Pool.terminate`` SIGTERMs process workers (safe for hung chunks);
-    for ``multiprocessing.dummy`` pools it only signals the handler
-    threads — hung worker threads are daemons and are left to drain.
-    """
-    try:
-        pool.terminate()
-    except Exception:  # pragma: no cover - teardown best-effort
+    capacity = 1
+    stage = "inline"
+
+    def __init__(self, plan: Plan, state, with_stats: bool, with_metrics: bool):
+        self.plan = plan
+        self.state = state
+        self.with_stats = with_stats
+        self.with_metrics = with_metrics
+
+    def submit(self, idx: int, attempt: int, chunk, done) -> None:
+        try:
+            result = _execute_chunk(
+                self.plan, self.state, chunk, idx, attempt, self.with_stats,
+                self.with_metrics,
+            )
+        except Exception as exc:  # noqa: BLE001 - routed by the loop
+            done(idx, attempt, None, exc)
+        else:
+            done(idx, attempt, result, None)
+
+    def pids(self) -> Optional[Set[int]]:
+        return None
+
+    def close(self) -> None:
         pass
+
+
+class _DaemonThreads(_Inline):
+    """The degraded thread rung: each chunk on a fresh daemon thread, so
+    a hung chunk can be abandoned on ``chunk_timeout`` (a daemon cannot
+    block interpreter exit)."""
+
+    stage = "thread"
+
+    def submit(self, idx: int, attempt: int, chunk, done) -> None:
+        threading.Thread(
+            target=super().submit,
+            args=(idx, attempt, chunk, done),
+            name=f"repro-degraded-{idx}",
+            daemon=True,
+        ).start()
+
+
+class _Pool:
+    """A ``multiprocessing`` (or ``multiprocessing.dummy``) worker pool."""
+
+    stage = "pool"
+
+    def __init__(self, factory, token: int, workers: int, process: bool):
+        self._factory = factory
+        self._token = token
+        self._process = process
+        self.capacity = workers
+        self._pool = factory()
+
+    def submit(self, idx: int, attempt: int, chunk, done) -> None:
+        self._pool.apply_async(
+            _run_task,
+            ((self._token, idx, attempt, chunk),),
+            callback=lambda result: done(idx, attempt, result, None),
+            error_callback=lambda exc: done(idx, attempt, None, exc),
+        )
+
+    def pids(self) -> Optional[Set[int]]:
+        """Pids of the current worker processes (crash watchdog input)."""
+        if not self._process:
+            return None
+        return {w.pid for w in getattr(self._pool, "_pool", []) if w.pid is not None}
+
+    def respawn(self) -> None:
+        self.close()
+        self._pool = self._factory()
+
+    def close(self) -> None:
+        """Terminate the pool, swallowing teardown races.
+
+        ``Pool.terminate`` SIGTERMs process workers (safe for hung
+        chunks); for ``multiprocessing.dummy`` pools it only signals the
+        handler threads — hung worker threads are daemons and are left to
+        drain.
+        """
+        try:
+            self._pool.terminate()
+        except Exception:  # pragma: no cover - teardown best-effort
+            pass
+
+
+class _Run:
+    """One run's bookkeeping, shared by every rung it dispatches on."""
+
+    def __init__(
+        self,
+        plan: Plan,
+        chunks: List,
+        stats: Optional[PairEvalStats],
+        policy: Optional[ExecutionPolicy],
+        deadline: _Deadline,
+        report: ExecutionReport,
+        tele: Telemetry,
+        span,
+    ):
+        self.plan = plan
+        self.chunks = chunks
+        self.stats = stats
+        self.exact = policy is None
+        self.policy = _EXACT if policy is None else policy
+        self.deadline = deadline
+        self.report = report
+        self.tele = tele
+        self.span = span
+        self.results: List[UserPair] = []
+        #: Plan state to hand accepted chunks back to (:meth:`Plan.accept`)
+        #: — set only when every chunk runs in the caller, one at a time.
+        self.feedback_state = None
+
+    def accept(self, idx: int, attempts: int, result) -> None:
+        pairs, counters, metrics, seconds = result
+        if self.feedback_state is not None:
+            self.plan.accept(self.feedback_state, pairs)
+        self.results.extend(pairs)
+        if self.stats is not None and counters is not None:
+            self.stats.merge(counters)
+        report, tele = self.report, self.tele
+        report.chunks_completed += 1
+        report.chunk_seconds[idx] = seconds
+        report.chunk_attempts[idx] = attempts
+        tele.record_stats(counters)
+        tele.metrics.merge(metrics)
+        tele.record_chunk(seconds, attempts)
+        tele.tracer.record(
+            "chunk",
+            seconds,
+            parent=self.span,
+            attrs={"chunk": idx, "attempts": attempts},
+        )
+
+    def dispatch(
+        self, executor, jobs: List[Tuple[int, int]], degraded: bool, final: bool
+    ) -> List[Tuple[int, int]]:
+        """The dispatch loop: run ``jobs`` — ``(chunk index, first
+        attempt)`` — on ``executor`` until each is accepted, skipped or
+        terminally failed.
+
+        Retries (primary rung only), chunk timeouts, the crash watchdog
+        and the deadline apply on every executor.  A terminal failure on
+        a ``final`` rung follows ``on_failure``; otherwise the chunk is
+        returned, with its next attempt number, for the next rung.
+        """
+        policy, report, span = self.policy, self.report, self.span
+        max_retries = 0 if degraded else policy.max_retries
+        completions: "queue.Queue" = queue.Queue()
+
+        def done(idx, attempt, result, exc) -> None:
+            completions.put((idx, attempt, result, exc))
+
+        #: (ready_at, chunk_index, attempt) — chunks awaiting (re)dispatch.
+        pending: List[Tuple[float, int, int]] = [
+            (0.0, idx, attempt) for idx, attempt in jobs
+        ]
+        #: chunk_index -> (attempt, dispatched_at)
+        in_flight: Dict[int, Tuple[int, float]] = {}
+        handed_down: List[Tuple[int, int]] = []
+
+        def terminal(idx: int, attempts: int, exc: Exception, stage: str) -> None:
+            if not final:
+                handed_down.append((idx, attempts))
+                return
+            failure = ChunkFailure(idx, attempts, repr(exc), stage)
+            report.failures.append(failure)
+            if policy.on_failure == "partial":
+                report.chunks_skipped.append(idx)
+                span.event("skip", chunk=idx, error=repr(exc))
+                return
+            if self.exact and stage != "pool-death":
+                raise exc
+            raise ExecutionFailed(
+                f"chunk {idx} failed after {attempts} attempt(s): {exc!r}",
+                report=report,
+                failures=[failure],
+            ) from exc
+
+        def fail(idx: int, attempt: int, exc: Exception, now: float) -> None:
+            if attempt < max_retries:
+                report.chunks_retried += 1
+                span.event(
+                    "retry", chunk=idx, attempt=attempt + 1, error=repr(exc)
+                )
+                pending.append(
+                    (now + backoff_delay(policy, idx, attempt + 1), idx,
+                     attempt + 1)
+                )
+            else:
+                terminal(idx, attempt + 1, exc, executor.stage)
+
+        known_pids = executor.pids()
+        while pending or in_flight:
+            if self.deadline.expired():
+                self.conclude_deadline()
+                return []
+
+            # 1) Dispatch pending chunks whose backoff has elapsed.
+            now = time.monotonic()
+            still: List[Tuple[float, int, int]] = []
+            for ready_at, idx, attempt in pending:
+                if len(in_flight) < executor.capacity and ready_at <= now:
+                    in_flight[idx] = (attempt, now)
+                    executor.submit(idx, attempt, self.chunks[idx], done)
+                else:
+                    still.append((ready_at, idx, attempt))
+            pending = still
+
+            # 2) Wait for a completion, or for the next thing to check.
+            wakeups = [self.deadline.remaining()]
+            if known_pids is not None:
+                wakeups.append(policy.poll_interval)
+            if pending and len(in_flight) < executor.capacity:
+                wakeups.append(min(ready for ready, _, _ in pending) - now)
+            if policy.chunk_timeout is not None and in_flight:
+                oldest = min(at for _, at in in_flight.values())
+                wakeups.append(oldest + policy.chunk_timeout - now)
+            wait = min(wakeups)
+            finished = []
+            try:
+                finished.append(
+                    completions.get(
+                        timeout=None if wait == float("inf") else max(0.0, wait)
+                    )
+                )
+                while True:
+                    finished.append(completions.get_nowait())
+            except queue.Empty:
+                pass
+
+            # 3) Harvest: accept, or route the failure.  A result whose
+            #    attempt is no longer in flight was abandoned (timed out
+            #    or lost to a respawn) and is discarded.
+            now = time.monotonic()
+            for idx, attempt, result, exc in finished:
+                if in_flight.get(idx, (None,))[0] != attempt:
+                    continue
+                del in_flight[idx]
+                if exc is not None:
+                    fail(idx, attempt, exc, now)
+                    continue
+                self.accept(idx, attempt + 1, result)
+                if degraded:
+                    report.chunks_degraded += 1
+                    span.event("degraded", chunk=idx, rung=executor.stage)
+
+            # 4) Per-chunk timeouts: abandon the attempt (its worker may
+            #    still be busy on it; a late result is discarded).
+            if policy.chunk_timeout is not None:
+                for idx, (attempt, dispatched_at) in list(in_flight.items()):
+                    if now - dispatched_at >= policy.chunk_timeout:
+                        del in_flight[idx]
+                        span.event("timeout", chunk=idx)
+                        fail(
+                            idx,
+                            attempt,
+                            TimeoutError(
+                                f"chunk {idx} exceeded chunk_timeout="
+                                f"{policy.chunk_timeout}s"
+                            ),
+                            now,
+                        )
+
+            # 5) Worker-crash watchdog (process pools only).
+            if known_pids is not None:
+                pids = executor.pids()
+                lost = known_pids - pids
+                if lost and report.pool_respawns < policy.respawn_limit:
+                    report.pool_respawns += 1
+                    span.event("pool_respawn", lost_pids=sorted(lost))
+                    executor.respawn()
+                    pids = executor.pids()
+                    # Requeue everything that was in flight.  The attempt
+                    # number advances (so a crash fault keyed to attempt
+                    # 0 does not re-fire) but no retry is recorded — this
+                    # is crash recovery, not chunk failure.
+                    for idx, (attempt, _) in in_flight.items():
+                        pending.append((now, idx, attempt + 1))
+                    in_flight.clear()
+                elif lost:
+                    died = RuntimeError(
+                        "worker pool died and the respawn budget "
+                        f"({policy.respawn_limit}) is exhausted"
+                    )
+                    doomed = list(in_flight.items())
+                    in_flight.clear()
+                    for idx, (attempt, _) in doomed:
+                        terminal(idx, attempt + 1, died, "pool-death")
+                known_pids = pids
+        return handed_down
+
+    def conclude_deadline(self) -> None:
+        """Deadline hit: record the incomplete chunks, then raise or return."""
+        report = self.report
+        report.deadline_hit = True
+        leftover = [
+            idx for idx in range(len(self.chunks))
+            if idx not in report.chunk_seconds and idx not in report.chunks_skipped
+        ]
+        self.span.event("deadline", leftover=leftover)
+        if self.policy.on_failure == "partial":
+            for idx in leftover:
+                report.chunks_skipped.append(idx)
+                report.failures.append(
+                    ChunkFailure(idx, 0, "deadline exceeded", "deadline")
+                )
+            return
+        raise DeadlineExceeded(
+            f"deadline of {self.policy.deadline}s exceeded with "
+            f"{report.chunks_completed}/{report.chunks_total} chunks done",
+            report=report,
+        )
 
 
 class JoinExecutor:
@@ -454,7 +733,9 @@ class JoinExecutor:
         telemetry: Optional[Telemetry] = None,
         with_report: bool = False,
     ) -> Tuple[List[UserPair], ExecutionReport]:
-        tele = telemetry if (telemetry is not None and telemetry.enabled) else None
+        # The deadline covers the whole run, state construction included.
+        deadline = _Deadline(policy.deadline if policy is not None else None)
+        tele = telemetry if telemetry is not None else _NO_TELEMETRY
         report = ExecutionReport(
             backend=self.backend,
             start_method=self.start_method,
@@ -462,26 +743,25 @@ class JoinExecutor:
         )
         # Hashing the whole dataset costs as much as a small join, so only
         # runs whose report is read (or traced) pay for it.
-        if with_report or tele is not None:
+        if with_report or tele.enabled:
             report.dataset_fingerprint = dataset.fingerprint()
-        run_span = None
-        if tele is not None:
-            run_span = tele.tracer.start_run(
-                plan.kind,
-                attrs={
-                    "algorithm": plan.name,
-                    "backend": self.backend,
-                    "start_method": self.start_method,
-                    "workers": self.workers,
-                },
-            )
+        run_span = tele.tracer.start_run(
+            plan.kind,
+            attrs={
+                "algorithm": plan.name,
+                "backend": self.backend,
+                "start_method": self.start_method,
+                "workers": self.workers,
+            },
+        )
         # The run id is deterministic either way: the traced span id when
         # telemetry is active, an engine-local sequence number otherwise.
         report.run_id = (
-            run_span.run_id if run_span is not None
+            run_span.run_id if tele.enabled
             else f"{plan.kind}-{next(_RUN_SEQ):04d}"
         )
         start = time.perf_counter()
+        token = next(_RUN_TOKENS)
         try:
             n_units = plan.num_units(dataset)
             if n_units == 0:
@@ -502,30 +782,119 @@ class JoinExecutor:
             costs = plan.chunk_costs(dataset, chunks)
             if costs is not None:
                 report.chunk_costs = dict(enumerate(costs))
-            if self.backend == "sequential" or self.workers == 1:
-                results = self._run_inline(
-                    plan, dataset, query, stats, kwargs, chunks, policy,
-                    report, tele, run_span,
+            report.chunks_total = len(chunks)
+            run = _Run(plan, chunks, stats, policy, deadline, report, tele, run_span)
+            return self._walk_rungs(run, dataset, query, kwargs, token), report
+        finally:
+            # Pop only this run's entry: a concurrent executor in the same
+            # process (or a nested run) keeps its own state untouched, and
+            # a build_state that raised leaves nothing behind.
+            _WORKER_STATE.pop(token, None)
+            report.elapsed = time.perf_counter() - start
+            self._finish_run_telemetry(tele, report, run_span)
+
+    def _walk_rungs(
+        self, run: _Run, dataset, query, kwargs: dict, token: int
+    ) -> List[UserPair]:
+        """Dispatch every chunk on the primary executor, then — under
+        ``on_failure="degrade"`` — the chunks it failed on each degraded
+        rung in turn.
+
+        The primary executor is the worker pool, or the inline executor
+        for the sequential backend and one-worker runs.  State is built
+        in the caller unless spawn workers build their own; a degraded
+        rung of a spawn run builds it here (index construction is
+        deterministic, so results stay byte-identical)."""
+        plan, tele = run.plan, run.tele
+        with_stats = run.stats is not None or tele.enabled
+        with_metrics = tele.enabled
+        inline = self.backend == "sequential" or self.workers == 1
+        process = self.backend == "process"
+        rungs = ["inline" if inline else "pool"]
+        if run.policy.on_failure == "degrade":
+            rungs += (["thread"] if process and not inline else []) + ["inline"]
+        state = None
+        if inline or self.start_method in (None, "fork"):
+            state = self._build_state(plan, dataset, query, kwargs, tele, run.span)
+            plan.warm(state, with_stats, with_metrics)
+        if inline:
+            run.feedback_state = state
+        jobs = [(idx, 0) for idx in range(len(run.chunks))]
+        for depth, rung in enumerate(rungs):
+            if rung == "pool":
+                executor = self._open_pool(
+                    run, dataset, query, kwargs, token, state, with_stats,
+                    with_metrics,
                 )
             else:
-                results = self._run_pooled(
-                    plan,
-                    dataset,
-                    query,
-                    stats,
-                    kwargs,
-                    chunks,
-                    process=(self.backend == "process"),
-                    policy=policy,
-                    report=report,
-                    tele=tele,
-                    run_span=run_span,
+                if state is None:
+                    state = plan.build_state(dataset, query, **kwargs)
+                    plan.warm(state, with_stats, with_metrics)
+                factory = _DaemonThreads if rung == "thread" else _Inline
+                executor = factory(plan, state, with_stats, with_metrics)
+            try:
+                jobs = run.dispatch(
+                    executor, jobs, degraded=depth > 0,
+                    final=depth == len(rungs) - 1,
                 )
-            return results, report
-        finally:
-            report.elapsed = time.perf_counter() - start
-            if tele is not None:
-                self._finish_run_telemetry(tele, report, run_span)
+            finally:
+                executor.close()
+            if not jobs:
+                break
+        return run.results
+
+    def _open_pool(
+        self, run: _Run, dataset, query, kwargs: dict, token: int, state,
+        with_stats: bool, with_metrics: bool,
+    ) -> _Pool:
+        """Start the worker pool of a thread or process run.
+
+        fork and thread workers read the parent's state through the
+        token-keyed registry; spawn workers rebuild it from a dataset
+        snapshot in their initializer."""
+        plan = run.plan
+        process = self.backend == "process"
+        if state is not None:
+            _WORKER_STATE[token] = {
+                "plan": plan,
+                "state": state,
+                "with_stats": with_stats,
+                "with_metrics": with_metrics,
+            }
+        if not process:
+            factory = lambda: multiprocessing.dummy.Pool(self.workers)
+        elif state is not None:
+            ctx = multiprocessing.get_context(self.start_method)
+            factory = lambda: ctx.Pool(processes=self.workers)
+        else:
+            # State crosses the process boundary as a compact snapshot;
+            # each worker rebuilds its indexes in the initializer.  The
+            # active fault plan rides along so injection is hermetic
+            # across transports.
+            ctx = multiprocessing.get_context(self.start_method)
+            active_plan = _faults.active_fault_plan()
+            setup_span = run.tele.tracer.start_span(
+                "setup", parent=run.span, attrs={"transport": "spawn-snapshot"}
+            )
+            snapshot = DatasetSnapshot.capture(dataset)
+            setup_span.end()
+            initargs = (
+                token,
+                snapshot,
+                plan.kind,
+                plan.name,
+                query,
+                with_stats,
+                with_metrics,
+                kwargs,
+                active_plan.serialize() if active_plan else None,
+            )
+            factory = lambda: ctx.Pool(
+                processes=self.workers,
+                initializer=_init_spawn_worker,
+                initargs=initargs,
+            )
+        return _Pool(factory, token, self.workers, process)
 
     @staticmethod
     def _finish_run_telemetry(
@@ -557,51 +926,16 @@ class JoinExecutor:
             deadline_hit=report.deadline_hit,
         )
 
-    def _accept_chunk_telemetry(
-        self,
-        tele: Optional[Telemetry],
-        report: ExecutionReport,
-        run_span,
-        idx: int,
-        attempts: int,
-        counters: Optional[dict],
-        metrics: Optional[dict],
-        seconds: float,
-    ) -> None:
-        """Per-accepted-chunk bookkeeping shared by every scheduling path.
-
-        Records the chunk's wall-clock and attempt count on the report
-        (always), and — with telemetry attached — merges the chunk-local
-        metrics snapshot, mirrors its stats counters, and back-dates a
-        ``chunk`` span under the run."""
-        report.chunk_seconds[idx] = seconds
-        report.chunk_attempts[idx] = attempts
-        if tele is None:
-            return
-        tele.record_stats(counters)
-        tele.metrics.merge(metrics)
-        tele.record_chunk(seconds, attempts)
-        tele.tracer.record(
-            "chunk",
-            seconds,
-            parent=run_span,
-            attrs={"chunk": idx, "attempts": attempts},
-        )
-
-    def _build_state(
-        self, plan, dataset, query, kwargs: dict, tele: Optional[Telemetry],
-        run_span,
-    ):
+    @staticmethod
+    def _build_state(plan, dataset, query, kwargs: dict, tele: Telemetry, run_span):
         """Build the plan state, tracing it as the run's ``setup`` span.
 
-        The run-level registry is active during construction, so index
-        builders' ``phase.index.*`` instrumentation lands in the
-        telemetry (parent-side builds only; spawn workers build their
-        own state uninstrumented)."""
-        if tele is None:
-            return plan.build_state(dataset, query, **kwargs)
+        With telemetry on, the run-level registry is active during
+        construction, so index builders' ``phase.index.*``
+        instrumentation lands in it (parent-side builds only; spawn
+        workers build their own state uninstrumented)."""
         span = tele.tracer.start_span("setup", parent=run_span)
-        previous = _obs.activate(tele.metrics)
+        previous = _obs.activate(tele.metrics if tele.enabled else _obs.active())
         started = time.perf_counter()
         try:
             return plan.build_state(dataset, query, **kwargs)
@@ -611,596 +945,3 @@ class JoinExecutor:
                 time.perf_counter() - started
             )
             span.end()
-
-    # -- inline execution ---------------------------------------------------------
-
-    def _run_inline(
-        self,
-        plan,
-        dataset,
-        query,
-        stats,
-        kwargs,
-        chunks: Iterator,
-        policy: Optional[ExecutionPolicy],
-        report: ExecutionReport,
-        tele: Optional[Telemetry],
-        run_span,
-    ) -> List[UserPair]:
-        state = self._build_state(plan, dataset, query, kwargs, tele, run_span)
-        plan.warm(state, stats is not None or tele is not None, tele is not None)
-        if policy is None:
-            if tele is None:
-                # The exact fail-fast fast path: no per-chunk stats detour,
-                # no deadline checks — per-chunk wall-clock timing (two
-                # perf_counter reads per chunk) is the only addition over
-                # the pre-resilience engine.
-                results: List[UserPair] = []
-                idx = 0
-                for chunk in chunks:
-                    started = time.perf_counter()
-                    pairs = plan.run_chunk(state, chunk, stats)
-                    report.chunk_seconds[idx] = time.perf_counter() - started
-                    plan.accept(state, pairs)
-                    results.extend(pairs)
-                    report.chunk_attempts[idx] = 1
-                    idx += 1
-                report.chunks_total = report.chunks_completed = idx
-                return results
-            # Telemetry on, no policy: stats are forced per chunk so the
-            # filter.* counters are populated even when the caller did not
-            # ask for a PairEvalStats of its own.
-            results = []
-            for idx, chunk in enumerate(chunks):
-                pairs, counters, metrics, seconds = _execute_chunk(
-                    plan, state, chunk, idx, 0, True, True
-                )
-                plan.accept(state, pairs)
-                results.extend(pairs)
-                if stats is not None and counters is not None:
-                    stats.merge(counters)
-                report.chunks_total += 1
-                report.chunks_completed += 1
-                self._accept_chunk_telemetry(
-                    tele, report, run_span, idx, 1, counters, metrics, seconds
-                )
-            return results
-        return self._run_inline_resilient(
-            plan, state, list(chunks), stats, policy, report, tele, run_span
-        )
-
-    def _run_inline_resilient(
-        self,
-        plan,
-        state,
-        chunk_list: List,
-        stats: Optional[PairEvalStats],
-        policy: ExecutionPolicy,
-        report: ExecutionReport,
-        tele: Optional[Telemetry],
-        run_span,
-    ) -> List[UserPair]:
-        """Sequential execution under a policy.
-
-        The deadline is checked between chunks (a running chunk is never
-        interrupted; ``chunk_timeout`` is unenforceable inline and
-        ignored).  ``degrade`` has no lower rung here, so it grants one
-        final extra attempt before failing.
-        """
-        report.chunks_total = len(chunk_list)
-        with_stats = stats is not None or tele is not None
-        with_metrics = tele is not None
-        deadline = _Deadline(policy.deadline)
-        results: List[UserPair] = []
-
-        def accept(idx, attempts, pairs, counters, metrics, seconds) -> None:
-            plan.accept(state, pairs)
-            results.extend(pairs)
-            if stats is not None and counters is not None:
-                stats.merge(counters)
-            report.chunks_completed += 1
-            self._accept_chunk_telemetry(
-                tele, report, run_span, idx, attempts, counters, metrics,
-                seconds,
-            )
-
-        for idx, chunk in enumerate(chunk_list):
-            if deadline.expired():
-                if run_span is not None:
-                    run_span.event("deadline", next_chunk=idx)
-                self._conclude_deadline(
-                    policy, report, range(idx, len(chunk_list))
-                )
-                return results
-            attempt = 0
-            while True:
-                try:
-                    accept(
-                        idx,
-                        attempt + 1,
-                        *_execute_chunk(
-                            plan, state, chunk, idx, attempt, with_stats,
-                            with_metrics,
-                        ),
-                    )
-                    break
-                except Exception as exc:
-                    if attempt < policy.max_retries and not deadline.expired():
-                        attempt += 1
-                        report.chunks_retried += 1
-                        if run_span is not None:
-                            run_span.event(
-                                "retry", chunk=idx, attempt=attempt,
-                                error=repr(exc),
-                            )
-                        time.sleep(
-                            min(
-                                backoff_delay(policy, idx, attempt),
-                                deadline.remaining(),
-                            )
-                        )
-                        continue
-                    if policy.on_failure == "degrade":
-                        try:
-                            accept(
-                                idx,
-                                attempt + 2,
-                                *_execute_chunk(
-                                    plan, state, chunk, idx, attempt + 1,
-                                    with_stats, with_metrics,
-                                ),
-                            )
-                            report.chunks_degraded += 1
-                            if run_span is not None:
-                                run_span.event("degraded", chunk=idx)
-                            break
-                        except Exception as exc2:
-                            exc = exc2
-                            attempt += 1
-                    if policy.on_failure == "partial":
-                        report.chunks_skipped.append(idx)
-                        report.failures.append(
-                            ChunkFailure(idx, attempt + 1, repr(exc), "inline")
-                        )
-                        if run_span is not None:
-                            run_span.event(
-                                "skip", chunk=idx, error=repr(exc)
-                            )
-                        break
-                    failure = ChunkFailure(idx, attempt + 1, repr(exc), "inline")
-                    report.failures.append(failure)
-                    raise ExecutionFailed(
-                        f"chunk {idx} failed after {attempt + 1} attempt(s): "
-                        f"{exc!r}",
-                        report=report,
-                        failures=[failure],
-                    ) from exc
-        return results
-
-    # -- pooled execution ---------------------------------------------------------
-
-    def _run_pooled(
-        self,
-        plan,
-        dataset,
-        query,
-        stats,
-        kwargs,
-        chunks: Iterator,
-        process: bool,
-        policy: Optional[ExecutionPolicy],
-        report: ExecutionReport,
-        tele: Optional[Telemetry],
-        run_span,
-    ) -> List[UserPair]:
-        with_stats = stats is not None or tele is not None
-        with_metrics = tele is not None
-        spawnish = process and self.start_method != "fork"
-        token = next(_RUN_TOKENS)
-
-        if process:
-            ctx = multiprocessing.get_context(self.start_method)
-            if spawnish:
-                # State crosses the process boundary as a compact snapshot;
-                # each worker rebuilds its indexes in the initializer.  The
-                # active fault plan rides along so injection is hermetic
-                # across transports.
-                active_plan = _faults.active_fault_plan()
-                if tele is not None:
-                    setup_span = tele.tracer.start_span(
-                        "setup", parent=run_span,
-                        attrs={"transport": "spawn-snapshot"},
-                    )
-                    snapshot = DatasetSnapshot.capture(dataset)
-                    setup_span.end()
-                else:
-                    snapshot = DatasetSnapshot.capture(dataset)
-                initargs = (
-                    token,
-                    snapshot,
-                    plan.kind,
-                    plan.name,
-                    query,
-                    with_stats,
-                    with_metrics,
-                    kwargs,
-                    active_plan.serialize() if active_plan else None,
-                )
-                pool_factory = lambda: ctx.Pool(
-                    processes=self.workers,
-                    initializer=_init_spawn_worker,
-                    initargs=initargs,
-                )
-            else:
-                pool_factory = lambda: ctx.Pool(processes=self.workers)
-        else:
-            pool_factory = lambda: multiprocessing.dummy.Pool(self.workers)
-
-        try:
-            if not spawnish:
-                # fork and thread backends read the state set up pre-fork
-                # (or shared by reference) through the token-keyed global.
-                _WORKER_STATE[token] = {
-                    "plan": plan,
-                    "state": self._build_state(
-                        plan, dataset, query, kwargs, tele, run_span
-                    ),
-                    "with_stats": with_stats,
-                    "with_metrics": with_metrics,
-                }
-                # Pre-fork warm-up: fork/thread workers inherit (or share)
-                # the built batch kernel instead of each rebuilding it
-                # inside their first timed chunk.
-                plan.warm(
-                    _WORKER_STATE[token]["state"], with_stats, with_metrics
-                )
-            if policy is None:
-                results: List[UserPair] = []
-                with pool_factory() as pool:
-                    tasks = (
-                        (token, idx, 0, chunk)
-                        for idx, chunk in enumerate(chunks)
-                    )
-                    for idx, pairs, counters, metrics, seconds in (
-                        pool.imap_unordered(_run_task, tasks)
-                    ):
-                        results.extend(pairs)
-                        report.chunks_completed += 1
-                        if stats is not None and counters is not None:
-                            stats.merge(counters)
-                        self._accept_chunk_telemetry(
-                            tele, report, run_span, idx, 1, counters,
-                            metrics, seconds,
-                        )
-                report.chunks_total = report.chunks_completed
-                return results
-            return self._dispatch_resilient(
-                pool_factory,
-                token,
-                plan,
-                dataset,
-                query,
-                kwargs,
-                list(chunks),
-                stats,
-                policy,
-                report,
-                process,
-                spawnish,
-                tele,
-                run_span,
-            )
-        finally:
-            # Pop only this run's entry: a concurrent executor in the same
-            # process (or a nested run) keeps its own state untouched, and
-            # a build_state that raised leaves nothing behind.
-            _WORKER_STATE.pop(token, None)
-
-    def _dispatch_resilient(
-        self,
-        pool_factory,
-        token: int,
-        plan,
-        dataset,
-        query,
-        kwargs: dict,
-        chunk_list: List,
-        stats: Optional[PairEvalStats],
-        policy: ExecutionPolicy,
-        report: ExecutionReport,
-        process: bool,
-        spawnish: bool,
-        tele: Optional[Telemetry],
-        run_span,
-    ) -> List[UserPair]:
-        """The resilient ``AsyncResult`` dispatcher (pooled backends).
-
-        Replaces the bare ``imap_unordered`` loop with explicit per-chunk
-        bookkeeping: bounded in-flight dispatch, per-chunk timeouts,
-        retry scheduling with deterministic backoff, worker-pid watching
-        with pool respawn, and terminal routing through the policy's
-        ``on_failure`` mode.
-        """
-        report.chunks_total = len(chunk_list)
-        deadline = _Deadline(policy.deadline)
-        results: List[UserPair] = []
-        completed: Set[int] = set()
-        #: (ready_at, chunk_index, attempt) — chunks awaiting (re)dispatch.
-        pending: List[Tuple[float, int, int]] = [
-            (0.0, idx, 0) for idx in range(len(chunk_list))
-        ]
-        #: chunk_index -> (AsyncResult, attempt, dispatched_at)
-        in_flight: Dict[int, Tuple] = {}
-        #: (chunk_index, attempts, last error) awaiting degraded re-execution.
-        degrade_queue: List[Tuple[int, int, Exception]] = []
-        respawns = 0
-
-        def accept(
-            idx: int, attempts: int, pairs, counters, metrics, seconds
-        ) -> None:
-            if idx in completed:
-                return  # a retry raced an abandoned original; first wins
-            completed.add(idx)
-            results.extend(pairs)
-            if stats is not None and counters is not None:
-                stats.merge(counters)
-            report.chunks_completed += 1
-            self._accept_chunk_telemetry(
-                tele, report, run_span, idx, attempts, counters, metrics,
-                seconds,
-            )
-
-        def terminal(idx: int, attempts: int, exc: Exception, stage: str) -> None:
-            if policy.on_failure == "degrade":
-                degrade_queue.append((idx, attempts, exc))
-                return
-            failure = ChunkFailure(idx, attempts, repr(exc), stage)
-            report.failures.append(failure)
-            if policy.on_failure == "partial":
-                report.chunks_skipped.append(idx)
-                if run_span is not None:
-                    run_span.event("skip", chunk=idx, error=repr(exc))
-                return
-            raise ExecutionFailed(
-                f"chunk {idx} failed after {attempts} attempt(s): {exc!r}",
-                report=report,
-                failures=[failure],
-            ) from exc
-
-        def fail(idx: int, attempt: int, exc: Exception, now: float) -> None:
-            if attempt < policy.max_retries:
-                report.chunks_retried += 1
-                if run_span is not None:
-                    run_span.event(
-                        "retry", chunk=idx, attempt=attempt + 1,
-                        error=repr(exc),
-                    )
-                pending.append(
-                    (now + backoff_delay(policy, idx, attempt + 1), idx,
-                     attempt + 1)
-                )
-            else:
-                terminal(idx, attempt + 1, exc, "pool")
-
-        pool = pool_factory()
-        known_pids = _worker_pids(pool) if process else set()
-        try:
-            while pending or in_flight:
-                now = time.monotonic()
-                if deadline.expired():
-                    report.deadline_hit = True
-                    break
-                progressed = False
-
-                # 1) Harvest finished / timed-out chunks.
-                for idx in list(in_flight):
-                    handle, attempt, dispatched_at = in_flight[idx]
-                    if handle.ready():
-                        del in_flight[idx]
-                        progressed = True
-                        try:
-                            _, pairs, counters, metrics, seconds = handle.get()
-                        except Exception as exc:
-                            fail(idx, attempt, exc, now)
-                        else:
-                            accept(
-                                idx, attempt + 1, pairs, counters, metrics,
-                                seconds,
-                            )
-                    elif (
-                        policy.chunk_timeout is not None
-                        and now - dispatched_at >= policy.chunk_timeout
-                    ):
-                        # Abandon the task (its worker may still be busy on
-                        # it; the result, if it ever lands, is discarded).
-                        del in_flight[idx]
-                        progressed = True
-                        if run_span is not None:
-                            run_span.event("timeout", chunk=idx)
-                        fail(
-                            idx,
-                            attempt,
-                            TimeoutError(
-                                f"chunk {idx} exceeded chunk_timeout="
-                                f"{policy.chunk_timeout}s"
-                            ),
-                            now,
-                        )
-
-                # 2) Worker-crash watchdog (process backends only).
-                if process:
-                    pids = _worker_pids(pool)
-                    if known_pids - pids:
-                        progressed = True
-                        if respawns < policy.respawn_limit:
-                            respawns += 1
-                            report.pool_respawns += 1
-                            if run_span is not None:
-                                run_span.event(
-                                    "pool_respawn",
-                                    lost_pids=sorted(known_pids - pids),
-                                )
-                            _terminate_pool(pool)
-                            pool = pool_factory()
-                            pids = _worker_pids(pool)
-                            # Requeue everything that was in flight.  The
-                            # attempt number advances (so a crash fault
-                            # keyed to attempt 0 does not re-fire) but the
-                            # retry budget is not charged — this is crash
-                            # recovery, not chunk failure.
-                            for idx, (_, attempt, _) in in_flight.items():
-                                pending.append((now, idx, attempt + 1))
-                            in_flight.clear()
-                        else:
-                            lost = RuntimeError(
-                                "worker pool died and the respawn budget "
-                                f"({policy.respawn_limit}) is exhausted"
-                            )
-                            doomed = list(in_flight.items())
-                            in_flight.clear()
-                            for idx, (_, attempt, _) in doomed:
-                                terminal(idx, attempt + 1, lost, "pool-death")
-                    known_pids = pids
-
-                # 3) Dispatch pending chunks whose backoff has elapsed.
-                capacity = max(1, self.workers) - len(in_flight)
-                if capacity > 0 and pending:
-                    still: List[Tuple[float, int, int]] = []
-                    for ready_at, idx, attempt in pending:
-                        if capacity > 0 and ready_at <= now:
-                            handle = pool.apply_async(
-                                _run_task,
-                                ((token, idx, attempt, chunk_list[idx]),),
-                            )
-                            in_flight[idx] = (handle, attempt, now)
-                            capacity -= 1
-                            progressed = True
-                        else:
-                            still.append((ready_at, idx, attempt))
-                    pending = still
-
-                if not progressed:
-                    time.sleep(
-                        min(policy.poll_interval, deadline.remaining())
-                    )
-
-            if report.deadline_hit:
-                leftover = sorted(
-                    set(in_flight)
-                    | {idx for _, idx, _ in pending}
-                    | {idx for idx, _, _ in degrade_queue}
-                )
-                if run_span is not None:
-                    run_span.event("deadline", leftover=leftover)
-                self._conclude_deadline(policy, report, leftover)
-                return results
-
-            # 4) Degraded re-execution of terminally failed chunks:
-            #    thread rung (timeout-capable), then inline in the caller.
-            if degrade_queue:
-                state = self._degraded_state(
-                    token, plan, dataset, query, kwargs, spawnish
-                )
-                rungs = ("thread", "inline") if process else ("inline",)
-                for idx, attempts, exc in degrade_queue:
-                    if deadline.expired():
-                        report.deadline_hit = True
-                        remaining = [
-                            i for i, _, _ in degrade_queue
-                            if i not in completed
-                        ]
-                        self._conclude_deadline(policy, report, remaining)
-                        return results
-                    self._run_degraded(
-                        plan, state, chunk_list[idx], idx, attempts, exc,
-                        rungs, policy, report, accept,
-                        with_metrics=(tele is not None), run_span=run_span,
-                    )
-            return results
-        finally:
-            _terminate_pool(pool)
-
-    def _degraded_state(
-        self, token: int, plan, dataset, query, kwargs: dict, spawnish: bool
-    ):
-        """Plan state for in-caller degraded execution.
-
-        fork/thread runs reuse the state already built in the parent;
-        spawn runs never built one locally, so it is built here (index
-        construction is deterministic — results stay byte-identical).
-        """
-        entry = _WORKER_STATE.get(token)
-        if not spawnish and entry is not None:
-            return entry["state"]
-        return plan.build_state(dataset, query, **kwargs)
-
-    def _run_degraded(
-        self,
-        plan,
-        state,
-        chunk,
-        idx: int,
-        attempts: int,
-        exc: Exception,
-        rungs: Tuple[str, ...],
-        policy: ExecutionPolicy,
-        report: ExecutionReport,
-        accept,
-        with_metrics: bool = False,
-        run_span=None,
-    ) -> None:
-        """Walk a failed chunk down the degraded rungs."""
-        with_stats = True  # counters ride in the returned dict either way
-        stage = "pool"
-        for rung in rungs:
-            attempts += 1
-            try:
-                if rung == "thread":
-                    pairs, counters, metrics, seconds = _run_chunk_in_thread(
-                        plan, state, chunk, idx, attempts - 1, with_stats,
-                        with_metrics, policy.chunk_timeout,
-                    )
-                else:
-                    pairs, counters, metrics, seconds = _execute_chunk(
-                        plan, state, chunk, idx, attempts - 1, with_stats,
-                        with_metrics,
-                    )
-            except Exception as rung_exc:
-                exc, stage = rung_exc, rung
-                continue
-            accept(idx, attempts, pairs, counters, metrics, seconds)
-            report.chunks_degraded += 1
-            if run_span is not None:
-                run_span.event("degraded", chunk=idx, rung=rung)
-            return
-        failure = ChunkFailure(idx, attempts, repr(exc), stage)
-        report.failures.append(failure)
-        if policy.on_failure == "partial":  # pragma: no cover - degrade only
-            report.chunks_skipped.append(idx)
-            return
-        raise ExecutionFailed(
-            f"chunk {idx} failed on every rung after {attempts} attempt(s): "
-            f"{exc!r}",
-            report=report,
-            failures=[failure],
-        ) from exc
-
-    @staticmethod
-    def _conclude_deadline(
-        policy: ExecutionPolicy, report: ExecutionReport, leftover
-    ) -> None:
-        """Deadline hit: record the incomplete chunks, then raise or return."""
-        report.deadline_hit = True
-        leftover = [i for i in leftover if i not in report.chunks_skipped]
-        if policy.on_failure == "partial":
-            for idx in leftover:
-                report.chunks_skipped.append(idx)
-                report.failures.append(
-                    ChunkFailure(idx, 0, "deadline exceeded", "deadline")
-                )
-            return
-        raise DeadlineExceeded(
-            f"deadline of {policy.deadline}s exceeded with "
-            f"{report.chunks_completed}/{report.chunks_total} chunks done",
-            report=report,
-        )

@@ -617,3 +617,157 @@ class TestReportSurface:
         )
         assert pairs == expected[("topk", "topk-s-ppj-p")]
         assert report.complete
+
+
+class TestOneDispatchLoop:
+    """A run without a policy goes through the same dispatch loop as a run
+    with one, under the exact policy (no deadline, no retries, no
+    respawns)."""
+
+    @pytest.mark.parametrize("activation", ["install", "env"])
+    @pytest.mark.parametrize("route", ["plain", "with_report", "telemetry"])
+    def test_fault_plan_fires_on_every_sequential_route(
+        self, monkeypatch, dataset, route, activation
+    ):
+        if activation == "install":
+            install_fault_plan(FaultPlan.parse("error@0*10"))
+        else:
+            monkeypatch.setenv(FAULT_PLAN_ENV, "error@0*10")
+        extra = {
+            "plain": {},
+            "with_report": {"with_report": True},
+            "telemetry": {"telemetry": repro.Telemetry()},
+        }[route]
+        with pytest.raises(InjectedFaultError):
+            stps_join(dataset, *EPS, algorithm="s-ppj-b", **extra)
+
+    @pytest.mark.parametrize(
+        "start_method",
+        [
+            pytest.param(
+                "fork",
+                marks=pytest.mark.skipif(not fork_available, reason="no fork"),
+            ),
+            pytest.param(
+                "spawn",
+                marks=pytest.mark.skipif(not spawn_available, reason="no spawn"),
+            ),
+        ],
+    )
+    def test_worker_crash_without_policy_raises(self, tmp_path, start_method):
+        # Run in a child interpreter with a timeout: if the engine ever
+        # waits on a task whose worker died, the hang stays out of the
+        # suite.
+        import os
+        import subprocess
+        import sys
+
+        script = tmp_path / "crash_run.py"
+        script.write_text(
+            "from repro.core.query import STPSJoinQuery\n"
+            "from repro.exec import ExecutionFailed, JoinExecutor\n"
+            "from repro.exec.faults import FaultPlan, install_fault_plan\n"
+            "from tests.helpers import DifferentialConfig, "
+            "build_differential_dataset\n"
+            "\n"
+            "if __name__ == '__main__':\n"
+            "    dataset = build_differential_dataset(DifferentialConfig(\n"
+            "        seed=42, n_users=12, cluster_fraction=0.6, "
+            "token_skew=0.5))\n"
+            "    install_fault_plan(FaultPlan.parse('crash@1'))\n"
+            f"    executor = JoinExecutor(workers=2, backend='process', "
+            f"start_method={start_method!r}, chunk_size={CHUNK})\n"
+            "    try:\n"
+            f"        executor.join(dataset, STPSJoinQuery(*{EPS!r}), "
+            "algorithm='s-ppj-b')\n"
+            "    except ExecutionFailed as exc:\n"
+            "        print('FAILED', exc)\n"
+            "    else:\n"
+            "        print('RETURNED')\n"
+        )
+        root = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root, env.get("PYTHONPATH", "")]
+        )
+        env.pop(FAULT_PLAN_ENV, None)
+        done = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, timeout=60, env=env, cwd=root,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "FAILED" in done.stdout
+        assert "respawn budget (0) is exhausted" in done.stdout
+
+    @pytest.mark.parametrize("on_failure", ["raise", "partial"])
+    def test_deadline_covers_state_build(
+        self, monkeypatch, dataset, join_query, on_failure
+    ):
+        plan = get_plan("join", "s-ppj-b")
+        build = plan.build_state
+
+        def slow_build(*args, **kwargs):
+            import time
+
+            time.sleep(0.3)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(plan, "build_state", slow_build)
+        executor = JoinExecutor(
+            backend="sequential",
+            policy=fast_policy(deadline=0.1, on_failure=on_failure),
+        )
+        if on_failure == "raise":
+            with pytest.raises(DeadlineExceeded) as err:
+                executor.join(dataset, join_query, algorithm="s-ppj-b")
+            report = err.value.report
+            assert report.deadline_hit
+            assert report.chunks_total >= 1
+            assert report.chunks_completed == 0
+            return
+        pairs, report = executor.join(
+            dataset, join_query, algorithm="s-ppj-b", with_report=True
+        )
+        assert pairs == []
+        assert report.deadline_hit
+        assert report.chunks_total >= 1
+        assert report.chunks_completed == 0
+        assert sorted(report.chunks_skipped) == list(range(report.chunks_total))
+
+    @pytest.mark.parametrize(
+        "backend_spec",
+        [
+            ("sequential", None),
+            ("thread", None),
+            pytest.param(
+                ("process", "fork"),
+                marks=pytest.mark.skipif(not fork_available, reason="no fork"),
+                id="process-fork",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "kind,algorithm", [("join", "s-ppj-f"), ("topk", "topk-s-ppj-p")]
+    )
+    def test_no_policy_equals_exact_policy(
+        self, dataset, join_query, topk_query, backend_spec, kind, algorithm
+    ):
+        outcomes = []
+        for policy in (None, ExecutionPolicy(max_retries=0, respawn_limit=0)):
+            tele = repro.Telemetry()
+            executor = make_executor(backend_spec, policy)
+            query = join_query if kind == "join" else topk_query
+            call = executor.join if kind == "join" else executor.topk
+            pairs, report = call(
+                dataset, query, algorithm=algorithm, with_report=True,
+                telemetry=tele,
+            )
+            outcomes.append((
+                pairs,
+                tele.work_counters(),
+                report.chunks_total,
+                report.chunks_completed,
+                report.chunk_attempts,
+            ))
+        assert outcomes[0][0] and outcomes[0][1]
+        assert outcomes[0] == outcomes[1]
